@@ -10,7 +10,7 @@ from .detections import (
     logits_from_posteriors,
     softmax,
 )
-from .engine import Cluster, FusionConfig, fuse, fuse_all, pool
+from .engine import DetectionBatch, FusionConfig, fuse, fuse_all, pool
 from .errors import (
     ConfigurationError,
     DegenerateWeightsError,
@@ -50,10 +50,10 @@ __all__ = [
     "CalibrationParams",
     "ClassPrior",
     "ClassScores",
-    "Cluster",
     "ConfigurationError",
     "DegenerateWeightsError",
     "Detection",
+    "DetectionBatch",
     "EmptyClusterError",
     "EvalReport",
     "FusionConfig",

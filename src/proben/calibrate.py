@@ -9,7 +9,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .detections import Detection, GroundTruth
-from .engine import FusionConfig, fuse_all
+from .engine import DetectionBatch, FusionConfig, fuse_all
 from .errors import ConfigurationError
 from .metrics import average_precision, lamr, match_all
 from .score_fusion import CalibrationParams
@@ -68,6 +68,7 @@ def grid_search(
 ) -> Tuple[CalibrationParams, List[Tuple[float, float, float]]]:
     """Evaluate fuse+eval at every (T, b) grid point; return the optimum.
 
+    The detections are batched once; every grid point re-fuses that batch.
     LAMR is minimized, AP maximized. Ties break toward the point closest to
     (1, 0), then lexicographically by (T, b).
     """
@@ -79,13 +80,14 @@ def grid_search(
             | {d.image_id for dets in detection_sets for d in dets}
         )
 
+    batch = DetectionBatch(detection_sets)
     surface: List[Tuple[float, float, float]] = []
     for t in t_grid.values():
         for b in b_grid.values():
             calibration: Dict[str, CalibrationParams] = dict(config.calibration)
             calibration[modality] = CalibrationParams(temperature=t, shift=b)
             trial = replace(config, calibration=calibration)
-            fused = fuse_all(detection_sets, trial)
+            fused = fuse_all(batch, trial)
             value = _objective_value(
                 fused, gts, image_ids, num_classes, objective, config.iou_threshold
             )

@@ -8,8 +8,10 @@ randomness is confined to the synthetic generator's seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import re
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -152,6 +154,7 @@ def cmd_eval(args) -> int:
         iou_threshold=args.iou_threshold,
         num_classes=num_classes,
         class_names=class_names,
+        image_ids=gt_images,
     )
 
     payload = report.to_dict()
@@ -264,26 +267,19 @@ def _spec_from_json(path) -> ScenarioSpec:
 
 
 def _expanded_preset(seed: int, images: int, modalities: int) -> ScenarioSpec:
+    """The kaist-like preset (rgb, thermal) plus modalities - 2 auxiliary ones."""
+    if modalities < 2:
+        raise ConfigurationError(
+            f"--modalities must be >= 2 for the kaist-like preset, got {modalities}"
+        )
     spec = kaist_like_spec(seed=seed, image_count=images)
-    if modalities <= 2:
-        return spec
     profiles = dict(spec.profiles)
     balanced = ModalityProfile(
         recall=0.7, fp_rate=0.5, tp_concentration=2.8, fp_concentration=1.6, loc_noise=4.5
     )
     for i in range(modalities - 2):
         profiles[f"aux{i + 1}"] = {"day": balanced, "night": balanced}
-    return ScenarioSpec(
-        seed=spec.seed,
-        image_count=spec.image_count,
-        num_classes=spec.num_classes,
-        image_size=spec.image_size,
-        objects_per_image=spec.objects_per_image,
-        night_fraction=spec.night_fraction,
-        ignore_fraction=spec.ignore_fraction,
-        profiles=profiles,
-        class_names=spec.class_names,
-    )
+    return dataclasses.replace(spec, profiles=profiles)
 
 
 def cmd_synth(args) -> int:
@@ -379,9 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+GRID_FLAGS = ("--grid-t", "--grid-b")
+
+
+def _attach_grid_values(argv: Sequence[str]) -> List[str]:
+    """Rewrite ``--grid-b -0.5:0:2`` as ``--grid-b=-0.5:0:2``: argparse takes
+    a separate value that starts with '-' for an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in GRID_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -8,11 +8,11 @@ ingested as binary posteriors (1-c on background, c on the predicted class).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidScoreError
 from .geometry import BBox
@@ -21,13 +21,27 @@ POSTERIOR_EPS = 1e-7
 
 
 def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction)."""
+    """Numerically stable softmax (max-subtraction) along the last axis."""
     arr = np.asarray(logits, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise InvalidScoreError(f"softmax requires finite entries, got {arr!r}")
-    shifted = arr - arr.max()
+    shifted = arr - arr.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) along the last axis, kept as a length-1 axis.
+
+    The formula of ``scipy.special.logsumexp`` (1.17) for finite input, so
+    results match it bit for bit: the entries equal to the row maximum are
+    taken out of the sum of exponentials and counted instead.
+    """
+    top = x.max(axis=-1, keepdims=True)
+    at_top = x == top
+    count = at_top.sum(axis=-1, keepdims=True)
+    rest = np.exp(np.where(at_top, -np.inf, x) - top).sum(axis=-1, keepdims=True)
+    return np.log1p(rest / count) + np.log(count) + top
 
 
 def logits_from_posteriors(posteriors) -> np.ndarray:
@@ -57,7 +71,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassScores:
-    """A (K+1)-way score vector: logits plus the matching softmax posteriors."""
+    """(K+1)-way score vectors along the last axis: logits plus the matching
+    softmax posteriors.
+
+    One detection holds one vector; a stack of shape (N, K+1) holds the rows
+    of N detections, and every method then answers per row. The ranking
+    fields (score, foreground argmax, log-posteriors) are derived once per
+    instance, on first use.
+    """
 
     logits: np.ndarray
     posteriors: np.ndarray
@@ -74,30 +95,56 @@ class ClassScores:
             raise InvalidScoreError(f"posteriors must be finite, got {p!r}")
         if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
             raise InvalidScoreError("posterior entries must lie in [0, 1]")
-        total = p.sum()
-        if abs(total - 1.0) > 1e-6:
-            raise InvalidScoreError(f"posteriors must sum to 1, got {total}")
+        total = p.sum(axis=-1, keepdims=True)
+        off = np.abs(total - 1.0) > 1e-6
+        if np.any(off):
+            raise InvalidScoreError(f"posteriors must sum to 1, got {total[off][0]}")
         p = np.clip(p, 0.0, 1.0) / total
         return cls(logits=_freeze(logits_from_posteriors(p)), posteriors=_freeze(p))
 
+    @classmethod
+    def stack(cls, rows: Sequence["ClassScores"]) -> "ClassScores":
+        """A stack holding the given score vectors as its rows."""
+        return cls(
+            logits=_freeze([r.logits for r in rows]),
+            posteriors=_freeze([r.posteriors for r in rows]),
+        )
+
     @property
     def num_foreground(self) -> int:
-        return len(self.posteriors) - 1
+        return self.posteriors.shape[-1] - 1
 
-    @property
+    @cached_property
     def log_posteriors(self) -> np.ndarray:
-        return self.logits - logsumexp(self.logits)
+        out = self.logits - _logsumexp(self.logits)
+        out.flags.writeable = False
+        return out
 
-    def argmax_foreground(self) -> int:
-        """Highest-posterior foreground class; ties go to the lower class id."""
+    @cached_property
+    def _ranking(self):
         if self.num_foreground < 1:
             raise InvalidScoreError("score vector has no foreground classes")
-        return 1 + int(np.argmax(self.posteriors[1:]))
+        if self.posteriors.ndim == 1:
+            cls = 1 + int(np.argmax(self.posteriors[1:]))
+            return float(self.posteriors[cls]), cls
+        cls = 1 + np.argmax(self.posteriors[:, 1:], axis=1)
+        return self.posteriors[np.arange(len(cls)), cls], cls
+
+    def row(self, i: int) -> "ClassScores":
+        """Row i of a stack, taking its ranking fields from the stack's."""
+        score, cls = self._ranking
+        row = ClassScores(logits=self.logits[i], posteriors=self.posteriors[i])
+        row.__dict__["_ranking"] = (float(score[i]), int(cls[i]))  # cached_property's slot
+        return row
+
+    def argmax_foreground(self):
+        """Highest-posterior foreground class; ties go to the lower class id."""
+        return self._ranking[1]
 
     @property
-    def score(self) -> float:
+    def score(self):
         """Posterior of the argmax foreground class (the ranking score)."""
-        return float(self.posteriors[self.argmax_foreground()])
+        return self._ranking[0]
 
 
 @dataclass(frozen=True)
@@ -129,7 +176,10 @@ class Detection:
         return (-self.score, self.class_id, self.det_id)
 
     def with_scores(self, scores: ClassScores) -> "Detection":
-        return replace(self, scores=scores)
+        # direct construction: dataclasses.replace costs several times more
+        return Detection(
+            self.image_id, self.modality, self.box, scores, self.box_variance, self.det_id
+        )
 
 
 @dataclass(frozen=True)

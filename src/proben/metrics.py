@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,18 +44,12 @@ class MatchResult:
     num_gt: Dict[int, int] = field(default_factory=dict)
     num_images: int = 0
 
-    def merge(self, other: "MatchResult") -> "MatchResult":
-        merged = MatchResult(
-            detections=sorted(
-                self.detections + other.detections,
-                key=lambda d: (-d.score, d.class_id, d.det_id),
-            ),
-            num_gt=dict(self.num_gt),
-            num_images=self.num_images + other.num_images,
-        )
+    def merge(self, other: "MatchResult") -> None:
+        """Add other's labels and counts in place; the caller re-sorts."""
+        self.detections.extend(other.detections)
         for cls, n in other.num_gt.items():
-            merged.num_gt[cls] = merged.num_gt.get(cls, 0) + n
-        return merged
+            self.num_gt[cls] = self.num_gt.get(cls, 0) + n
+        self.num_images += other.num_images
 
 
 def match(
@@ -131,7 +125,9 @@ def match_all(
             by_image_g.get(image_id, []),
             iou_threshold,
         )
-        result = result.merge(per_image)
+        result.merge(per_image)
+    # one stable sort: ties keep image order, as per-image merging did
+    result.detections.sort(key=lambda d: (-d.score, d.class_id, d.det_id))
     result.num_images = len(image_ids)
     return result
 
@@ -321,15 +317,20 @@ def breakdown(
     iou_threshold: float = 0.5,
     num_classes: Optional[int] = None,
     class_names: Optional[List[str]] = None,
+    image_ids: Iterable[str] = (),
 ) -> EvalReport:
     """Evaluate overall and per image tag (day/night); untagged images count
-    only toward 'all'. Tag subsets with no images are reported as absent."""
+    only toward 'all'. Tag subsets with no images are reported as absent.
+
+    'all' covers the images of dets, gts and tags plus any image_ids, which
+    lets a caller count images that hold neither a detection nor an object.
+    """
     if num_classes is None:
         candidates = [g.class_id for g in gts] + [d.class_id for d in dets]
         num_classes = max(candidates) if candidates else 1
 
     all_ids = sorted(
-        {d.image_id for d in dets} | {g.image_id for g in gts} | set(tags)
+        {d.image_id for d in dets} | {g.image_id for g in gts} | set(tags) | set(image_ids)
     )
     subsets: Dict[str, Optional[SubsetReport]] = {
         "all": _subset_report(dets, gts, all_ids, iou_threshold, num_classes)

@@ -1,7 +1,10 @@
 """Per-cluster class-score fusion rules and score calibration.
 
 All rules consume the score vectors of one overlap cluster and emit a single
-fused score vector. The probabilistic rule multiplies per-modality posteriors
+fused score vector. Except ``fuse_max``, they also fuse a group of
+same-size clusters in one call: member j of every cluster is then one row of
+the j-th member's stacked ``ClassScores``, and the result holds one row per
+cluster. The probabilistic rule multiplies per-modality posteriors
 and divides by the class prior raised to (M-1); under a uniform prior this is
 identical to a softmax over summed logits, which is how it is computed here
 for numerical stability.
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .detections import ClassPrior, ClassScores
 from .errors import ConfigurationError, EmptyClusterError
@@ -121,10 +123,10 @@ def fuse_linear(
     fused = None
     for modality, scores in scores_by_modality.items():
         w = weights.for_modality(modality)
-        if len(w) != len(scores.logits):
+        if len(w) != scores.logits.shape[-1]:
             raise ConfigurationError(
                 f"weight vector for {modality!r} has length {len(w)}, "
-                f"expected {len(scores.logits)}"
+                f"expected {scores.logits.shape[-1]}"
             )
         term = w * scores.logits
         fused = term if fused is None else fused + term
@@ -168,7 +170,8 @@ def fit_linear_weights(
 
     w = np.zeros(x.shape[1])
     for _ in range(iterations):
-        grad = x.T @ (expit(x @ w) - y) / n
+        # the logistic function in a form that cannot overflow
+        grad = x.T @ (0.5 + 0.5 * np.tanh(0.5 * (x @ w)) - y) / n
         w = w - step_size * grad
 
     per_modality: Dict[str, np.ndarray] = {
@@ -183,8 +186,11 @@ def calibrate_scores(scores: ClassScores, params: CalibrationParams) -> ClassSco
 
     A shift applied to every class would cancel in the softmax; restricting
     it to foreground entries reproduces the scalar relative-logit shift.
+    Identity parameters (T=1, b=0) return the scores unchanged, so that
+    posteriors read from a file are not re-derived through log and softmax.
     """
+    if params.temperature == 1.0 and params.shift == 0.0:
+        return scores
     logits = scores.logits / params.temperature
-    logits = logits.copy()
-    logits[1:] += params.shift
+    logits[..., 1:] += params.shift
     return ClassScores.from_logits(logits)

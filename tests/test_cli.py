@@ -145,24 +145,36 @@ class TestEval:
         assert (tmp_path / "report.all.miss_fppi.csv").exists()
         assert (tmp_path / "report.all.class1.pr.csv").exists()
 
+    def test_declared_empty_images_count_without_breakdown(self, fig3_inputs, gt_file, tmp_path):
+        with open(gt_file, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"image_id": "empty", "tag": "night"}) + "\n")
+        subsets = {}
+        for extra in ([], ["--breakdown"]):
+            self.fuse_then_eval(fig3_inputs, gt_file, tmp_path, extra=extra)
+            subsets[bool(extra)] = json.loads((tmp_path / "report.json").read_text())["subsets"]
+        assert subsets[False]["all"]["num_images"] == 2
+        assert subsets[False]["all"] == subsets[True]["all"]
+
 
 class TestCalibrate:
     def test_grid_outputs(self, fig3_inputs, gt_file, tmp_path):
         rgb, thermal = fig3_inputs
         prefix = tmp_path / "cal"
-        argv = [
-            "calibrate", str(rgb), str(thermal),
-            "--ground-truth", str(gt_file),
-            "--calibrate-modality", "rgb",
-            "--grid-t", "0.5:2:4", "--grid-b=-1:1:3",
-            "--out-prefix", str(prefix),
-        ]
-        assert main(argv) == 0
-        surface = (tmp_path / "cal.surface.csv").read_text().strip().splitlines()
-        assert len(surface) == 1 + 4 * 3  # header plus every grid point
-        best = json.loads((tmp_path / "cal.best.json").read_text())
-        assert best["modality"] == "rgb"
-        assert set(best) == {"modality", "temperature", "shift", "objective"}
+        # a negative START, attached with '=' or given as the next argument
+        for grid_b in (["--grid-b=-1:1:3"], ["--grid-b", "-1:1:3"]):
+            argv = [
+                "calibrate", str(rgb), str(thermal),
+                "--ground-truth", str(gt_file),
+                "--calibrate-modality", "rgb",
+                "--grid-t", "0.5:2:4", *grid_b,
+                "--out-prefix", str(prefix),
+            ]
+            assert main(argv) == 0
+            surface = (tmp_path / "cal.surface.csv").read_text().strip().splitlines()
+            assert len(surface) == 1 + 4 * 3  # header plus every grid point
+            best = json.loads((tmp_path / "cal.best.json").read_text())
+            assert best["modality"] == "rgb"
+            assert set(best) == {"modality", "temperature", "shift", "objective"}
 
     def test_degenerate_grid_returns_identity(self, fig3_inputs, gt_file, tmp_path):
         rgb, thermal = fig3_inputs
@@ -259,6 +271,12 @@ class TestExitCodes:
         out = tmp_path / "out.jsonl"
         argv = ["fuse", str(rgb), str(thermal), "--temperature", "rgb:2", "--out", str(out)]
         assert main(argv) == 3
+
+    def test_single_modality_preset_returns_3(self, tmp_path):
+        out = tmp_path / "data"
+        argv = ["synth", "--out-dir", str(out), "--images", "10", "--modalities", "1"]
+        assert main(argv) == 3
+        assert not out.exists()
 
     def test_linear_without_weights_returns_3(self, fig3_inputs, tmp_path):
         rgb, thermal = fig3_inputs

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proben import (
     CalibrationParams,
@@ -311,6 +311,7 @@ class TestCalibrateScores:
         st.floats(min_value=0.1, max_value=10),
         st.floats(min_value=-5, max_value=5),
     )
+    @example(ps=[0.010000000000000002, 0.01], t=1.0, b=0.0)  # a 1-ulp tie
     def test_preserves_ranking_within_modality(self, ps, t, b):
         params = CalibrationParams(temperature=t, shift=b)
         raw = [binary(p) for p in ps]
