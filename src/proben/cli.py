@@ -118,7 +118,7 @@ def cmd_fuse(args) -> int:
 
     gts = None
     if args.ground_truth:
-        gts, _, _, _ = read_ground_truth(args.ground_truth)
+        gts = read_ground_truth(args.ground_truth)[0]
 
     if args.score_fusion == "pooling":
         fused = pool(detection_sets)
@@ -126,21 +126,15 @@ def cmd_fuse(args) -> int:
         config = _build_config(args, gts, num_classes)
         fused = fuse_all(detection_sets, config)
     write_detections(args.out, fused)
-
-    per_image: Dict[str, int] = {}
-    for d in fused:
-        per_image[d.image_id] = per_image.get(d.image_id, 0) + 1
-    for image_id in sorted(per_image):
-        print(f"{image_id}: {per_image[image_id]} detections")
-    print(f"total: {len(fused)} detections over {len(per_image)} images")
+    images = len({d.image_id for d in fused})
+    print(f"total: {len(fused)} detections over {images} images")
     return 0
 
 
 def cmd_eval(args) -> int:
     dets = read_detections(args.detections)
-    gts, tags, num_classes, class_names = read_ground_truth(args.ground_truth)
-    gt_images = {g.image_id for g in gts} | set(tags)
-    orphan = sorted({d.image_id for d in dets} - gt_images)
+    gts, tags, num_classes, class_names, gt_images = read_ground_truth(args.ground_truth)
+    orphan = sorted({d.image_id for d in dets} - set(gt_images))
     if orphan:
         print(
             f"warning: {len(orphan)} image(s) carry detections but no ground-truth record",
@@ -207,13 +201,9 @@ def cmd_calibrate(args) -> int:
         _parse_assignment(raw, "--modality") for raw in (args.modality or [])
     )
     detection_sets = _read_detection_sets(args.inputs, overrides)
-    gts, tags, num_classes, _ = read_ground_truth(args.ground_truth)
+    gts, _, num_classes, _, gt_images = read_ground_truth(args.ground_truth)
     config = _build_config(args, gts, num_classes)
-    image_ids = sorted(
-        {g.image_id for g in gts}
-        | set(tags)
-        | {d.image_id for dets in detection_sets for d in dets}
-    )
+    image_ids = sorted(set(gt_images) | {d.image_id for dets in detection_sets for d in dets})
 
     best, surface = grid_search(
         detection_sets,

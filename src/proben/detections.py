@@ -7,6 +7,7 @@ ingested as binary posteriors (1-c on background, c on the predicted class).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,6 +148,12 @@ class ClassScores:
         return self._ranking[0]
 
 
+def check_box_variance(v: Optional[float]) -> None:
+    """Raise ValueError unless v is None or a finite positive number."""
+    if v is not None and not (math.isfinite(v) and v > 0):
+        raise ValueError(f"box_variance must be finite and positive, got {v}")
+
+
 @dataclass(frozen=True)
 class Detection:
     image_id: str
@@ -157,10 +164,7 @@ class Detection:
     det_id: int = 0
 
     def __post_init__(self):
-        if self.box_variance is not None:
-            v = self.box_variance
-            if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"box_variance must be finite and positive, got {v}")
+        check_box_variance(self.box_variance)
 
     @property
     def class_id(self) -> int:

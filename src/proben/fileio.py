@@ -11,10 +11,14 @@ write/parse cycle reproduces every numeric field exactly.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+import warnings
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .detections import ClassScores, Detection, GroundTruth
-from .errors import ParseError
+import numpy as np
+
+from .detections import ClassScores, Detection, GroundTruth, check_box_variance
+from .errors import InvalidScoreError, ParseError
 from .geometry import BBox
 
 
@@ -27,39 +31,69 @@ def _parse_bbox(raw, path, line_no) -> BBox:
         raise ParseError(path, line_no, f"invalid bbox: {exc}") from exc
 
 
-def _scores_from_record(record, path, line_no, num_classes) -> Tuple[ClassScores, Optional[int]]:
-    present = [k for k in ("logits", "posteriors", "score") if k in record]
+_SCORE_KINDS = ("logits", "posteriors", "score")
+
+
+def _score_row(record, path, line_no, num_classes) -> Tuple[str, List[float]]:
+    """The record's score kind and its (K+1)-way row, before the score checks
+    of ``ClassScores``; a ``score`` record becomes binary posteriors."""
+    present = [k for k in _SCORE_KINDS if k in record]
     if len(present) != 1:
         raise ParseError(
             path, line_no, f"exactly one of logits/posteriors/score required, got {present}"
         )
     kind = present[0]
     try:
-        if kind == "logits":
-            scores = ClassScores.from_logits([float(v) for v in record["logits"]])
-        elif kind == "posteriors":
-            scores = ClassScores.from_posteriors([float(v) for v in record["posteriors"]])
-        else:
-            score = float(record["score"])
-            class_id = int(record.get("class_id", 1))
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"score must lie in [0, 1], got {score}")
-            k = num_classes if num_classes is not None else max(class_id, 1)
-            if not 1 <= class_id <= k:
-                raise ValueError(f"class_id {class_id} out of range 1..{k}")
-            posteriors = [0.0] * (k + 1)
-            posteriors[0] = 1.0 - score
-            posteriors[class_id] = score
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # scalar-score records clamp by design
-                scores = ClassScores.from_posteriors(posteriors)
-    except ParseError:
-        raise
-    except Exception as exc:
+        if kind != "score":
+            return kind, [float(v) for v in record[kind]]
+        score = float(record["score"])
+        class_id = int(record.get("class_id", 1))
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must lie in [0, 1], got {score}")
+        k = num_classes if num_classes is not None else max(class_id, 1)
+        if not 1 <= class_id <= k:
+            raise ValueError(f"class_id {class_id} out of range 1..{k}")
+        row = [0.0] * (k + 1)
+        row[0] = 1.0 - score
+        row[class_id] = score
+        return kind, row
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(path, line_no, f"invalid {kind}: {exc}") from exc
-    return scores, scores.num_foreground
+
+
+def _build_scores(kind: str, rows) -> ClassScores:
+    """Scores of one row, or of a stack of rows, of one kind."""
+    if kind == "logits":
+        return ClassScores.from_logits(rows)
+    if kind == "posteriors":
+        return ClassScores.from_posteriors(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scalar-score records clamp by design
+        return ClassScores.from_posteriors(rows)
+
+
+def _check_row(path, line_no, kind: str, row) -> None:
+    """Raise the ParseError a per-record reader gives a row that fails on its own."""
+    try:
+        _build_scores(kind, row)
+    except InvalidScoreError as exc:
+        raise ParseError(path, line_no, f"invalid {kind}: {exc}") from exc
+
+
+def _raise_first_invalid(path, pending) -> None:
+    """Raise the error of the first line whose score row fails on its own;
+    return if every row passes."""
+    bad = []
+    for kind, (values, lines) in pending.items():
+        width = len(values) // len(lines) if lines else 0
+        for i, line_no in enumerate(lines):
+            try:
+                _check_row(path, line_no, kind, values[i * width : (i + 1) * width])
+            except ParseError as exc:
+                bad.append(exc)
+                break
+    if bad:
+        raise min(bad, key=lambda exc: exc.line_number)
 
 
 def _iter_records(path):
@@ -83,42 +117,68 @@ def read_detections(
     num_classes: Optional[int] = None,
     start_det_id: int = 0,
 ) -> List[Detection]:
-    """Parse a detection file; det_ids are assigned in ingest order."""
-    detections: List[Detection] = []
-    det_id = start_det_id
-    for line_no, record in _iter_records(path):
-        if "meta" in record:
-            continue
-        for key in ("image_id",):
-            if key not in record:
-                raise ParseError(path, line_no, f"missing field {key!r}")
-        modality = modality_override or record.get("modality")
-        if not modality:
-            raise ParseError(path, line_no, "missing modality (and no override given)")
-        box = _parse_bbox(record.get("bbox"), path, line_no)
-        scores, k = _scores_from_record(record, path, line_no, num_classes)
-        if num_classes is None:
-            num_classes = k
-        elif k != num_classes:
-            raise ParseError(
-                path, line_no, f"inconsistent class count: {k} vs expected {num_classes}"
-            )
-        variance = record.get("box_variance")
-        try:
-            detections.append(
-                Detection(
-                    image_id=str(record["image_id"]),
-                    modality=str(modality),
-                    box=box,
-                    scores=scores,
-                    box_variance=None if variance is None else float(variance),
-                    det_id=det_id,
+    """Parse a detection file; det_ids are assigned in ingest order.
+
+    The score rows of each kind are checked and converted together, in one
+    ``ClassScores`` constructor call per kind. An error is still reported at
+    the first bad line: score rows are checked ahead of any later error.
+    """
+    image_ids: List[str] = []
+    modalities: List[str] = []
+    boxes: List[BBox] = []
+    variances: List[Optional[float]] = []
+    kinds: List[str] = []
+    # per score kind: the row values back to back, and each row's line
+    pending = {kind: (array("d"), array("q")) for kind in _SCORE_KINDS}
+    try:
+        for line_no, record in _iter_records(path):
+            if "meta" in record:
+                continue
+            if "image_id" not in record:
+                raise ParseError(path, line_no, "missing field 'image_id'")
+            modality = modality_override or record.get("modality")
+            if not modality:
+                raise ParseError(path, line_no, "missing modality (and no override given)")
+            box = _parse_bbox(record.get("bbox"), path, line_no)
+            kind, row = _score_row(record, path, line_no, num_classes)
+            k = len(row) - 1
+            if num_classes is None:
+                num_classes = k
+            elif k != num_classes:
+                _check_row(path, line_no, kind, row)
+                raise ParseError(
+                    path, line_no, f"inconsistent class count: {k} vs expected {num_classes}"
                 )
-            )
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from exc
-        det_id += 1
-    return detections
+            values, lines = pending[kind]
+            values.extend(row)
+            lines.append(line_no)
+            variance = record.get("box_variance")
+            try:
+                if variance is not None:
+                    variance = float(variance)
+                check_box_variance(variance)
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from exc
+            image_ids.append(str(record["image_id"]))
+            modalities.append(str(modality))
+            boxes.append(box)
+            variances.append(variance)
+            kinds.append(kind)
+
+        scores = {}
+        for kind, (values, lines) in pending.items():
+            if lines:
+                stack = _build_scores(kind, np.frombuffer(values).reshape(len(lines), -1))
+                scores[kind] = map(stack.row, range(len(lines)))
+    except (ParseError, InvalidScoreError):
+        _raise_first_invalid(path, pending)
+        raise
+    return [
+        Detection(image_id, modality, box, next(scores[kind]), variance, det_id)
+        for det_id, (image_id, modality, box, variance, kind) in enumerate(
+            zip(image_ids, modalities, boxes, variances, kinds), start=start_det_id
+        )
+    ]
 
 
 def write_detections(path, detections: Sequence[Detection]):
@@ -135,14 +195,18 @@ def write_detections(path, detections: Sequence[Detection]):
             fh.write(json.dumps(record) + "\n")
 
 
-def read_ground_truth(path) -> Tuple[List[GroundTruth], Dict[str, str], int, Optional[List[str]]]:
+def read_ground_truth(
+    path,
+) -> Tuple[List[GroundTruth], Dict[str, str], int, Optional[List[str]], List[str]]:
     """Parse a ground-truth file.
 
-    Returns (ground truths, image tags, num_classes, class_names). The first
+    Returns (ground truths, image tags, num_classes, class_names, image ids),
+    the image ids being every image a record declares, sorted. The first
     record must be the meta header declaring the class count.
     """
     gts: List[GroundTruth] = []
     tags: Dict[str, str] = {}
+    image_ids = set()
     num_classes: Optional[int] = None
     class_names: Optional[List[str]] = None
     for line_no, record in _iter_records(path):
@@ -162,6 +226,7 @@ def read_ground_truth(path) -> Tuple[List[GroundTruth], Dict[str, str], int, Opt
         if "image_id" not in record:
             raise ParseError(path, line_no, "missing field 'image_id'")
         image_id = str(record["image_id"])
+        image_ids.add(image_id)
         tag = record.get("tag")
         if tag is not None:
             if tag not in ("day", "night"):
@@ -186,7 +251,7 @@ def read_ground_truth(path) -> Tuple[List[GroundTruth], Dict[str, str], int, Opt
         )
     if num_classes is None:
         raise ParseError(path, 1, "ground-truth file must start with a meta header")
-    return gts, tags, num_classes, class_names
+    return gts, tags, num_classes, class_names, sorted(image_ids)
 
 
 def write_ground_truth(

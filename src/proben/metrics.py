@@ -144,12 +144,8 @@ def _pr_points(result: MatchResult, class_id: int) -> Tuple[np.ndarray, np.ndarr
     return recall, precision, npos
 
 
-def average_precision(result: MatchResult, class_id: int) -> Optional[float]:
-    """All-point interpolated AP for one class; None when the class has no GT."""
-    recall, precision, npos = _pr_points(result, class_id)
-    if npos == 0:
-        warnings.warn(f"class {class_id} has no ground truth; AP undefined")
-        return None
+def _ap_from_points(recall: np.ndarray, precision: np.ndarray) -> float:
+    """All-point interpolated AP from a class's PR points (its GT count > 0)."""
     if len(recall) == 0:
         return 0.0
     mrec = np.concatenate(([0.0], recall, [recall[-1]]))
@@ -158,6 +154,15 @@ def average_precision(result: MatchResult, class_id: int) -> Optional[float]:
         mpre[i] = max(mpre[i], mpre[i + 1])
     idx = np.where(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
+
+
+def average_precision(result: MatchResult, class_id: int) -> Optional[float]:
+    """All-point interpolated AP for one class; None when the class has no GT."""
+    recall, precision, npos = _pr_points(result, class_id)
+    if npos == 0:
+        warnings.warn(f"class {class_id} has no ground truth; AP undefined")
+        return None
+    return _ap_from_points(recall, precision)
 
 
 def _miss_fppi_curve(result: MatchResult, image_count: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -179,16 +184,8 @@ def _miss_fppi_curve(result: MatchResult, image_count: int) -> Tuple[np.ndarray,
     return fppi, miss
 
 
-def lamr(result: MatchResult, image_count: int) -> float:
-    """Geometric mean of the miss rate at the nine reference FPPI values.
-
-    At each reference the loosest threshold whose FPPI does not exceed it is
-    used; if even the strictest threshold overshoots, the loosest threshold
-    stands in. The miss rate is floored at 1e-10 before the log.
-    """
-    if image_count < 1:
-        raise ValueError("image_count must be >= 1")
-    fppi, miss = _miss_fppi_curve(result, image_count)
+def _lamr_from_curve(fppi: np.ndarray, miss: np.ndarray) -> float:
+    """Geometric mean of the miss rate sampled from a miss/FPPI curve."""
     sampled = []
     for ref in REFERENCE_FPPI:
         if len(fppi) == 0:
@@ -198,6 +195,18 @@ def lamr(result: MatchResult, image_count: int) -> float:
         value = miss[ok[-1]] if len(ok) else miss[-1]
         sampled.append(max(value, MISS_RATE_FLOOR))
     return float(np.exp(np.mean(np.log(sampled))))
+
+
+def lamr(result: MatchResult, image_count: int) -> float:
+    """Geometric mean of the miss rate at the nine reference FPPI values.
+
+    At each reference the loosest threshold whose FPPI does not exceed it is
+    used; if even the strictest threshold overshoots, the loosest threshold
+    stands in. The miss rate is floored at 1e-10 before the log.
+    """
+    if image_count < 1:
+        raise ValueError("image_count must be >= 1")
+    return _lamr_from_curve(*_miss_fppi_curve(result, image_count))
 
 
 @dataclass
@@ -269,36 +278,27 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _subset_report(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
-    image_ids: Sequence[str],
-    iou_threshold: float,
-    num_classes: int,
-) -> SubsetReport:
-    result = match_all(dets, gts, iou_threshold, image_ids=image_ids)
+def _subset_report(result: MatchResult, num_classes: int) -> SubsetReport:
+    """AP, LAMR and both curves of one subset, each curve built once."""
     ap: Dict[int, Optional[float]] = {}
     pr_curves = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # zero-GT classes reported as None here
-        for cls in range(1, num_classes + 1):
-            ap[cls] = average_precision(result, cls)
-            recall, precision, _ = _pr_points(result, cls)
-            pr_curves[cls] = (list(recall), list(precision))
+    for cls in range(1, num_classes + 1):
+        recall, precision, npos = _pr_points(result, cls)
+        ap[cls] = _ap_from_points(recall, precision) if npos > 0 else None
+        pr_curves[cls] = (list(recall), list(precision))
     defined = [v for v in ap.values() if v is not None]
     mean_ap = float(np.mean(defined)) if defined else None
 
-    total_gt = sum(result.num_gt.values())
-    if total_gt > 0:
-        lamr_value = lamr(result, len(image_ids))
-        fppi, miss = _miss_fppi_curve(result, len(image_ids))
+    if sum(result.num_gt.values()) > 0:
+        fppi, miss = _miss_fppi_curve(result, result.num_images)
+        lamr_value = _lamr_from_curve(fppi, miss)
         miss_curve = (list(fppi), list(miss))
     else:
         lamr_value = None
         miss_curve = ([], [])
     labels = [d.label for d in result.detections]
     return SubsetReport(
-        num_images=len(image_ids),
+        num_images=result.num_images,
         num_gt=result.num_gt,
         ap=ap,
         mean_ap=mean_ap,
@@ -320,10 +320,13 @@ def breakdown(
     image_ids: Iterable[str] = (),
 ) -> EvalReport:
     """Evaluate overall and per image tag (day/night); untagged images count
-    only toward 'all'. Tag subsets with no images are reported as absent.
+    only toward 'all'.
 
     'all' covers the images of dets, gts and tags plus any image_ids, which
     lets a caller count images that hold neither a detection nor an object.
+    Every image is matched once. Matching is per image and the pooled labels
+    are stably sorted, so a tag's labels, filtered from the pooled ones, are
+    those a match over the tag's images alone would give, in the same order.
     """
     if num_classes is None:
         candidates = [g.class_id for g in gts] + [d.class_id for d in dets]
@@ -332,20 +335,17 @@ def breakdown(
     all_ids = sorted(
         {d.image_id for d in dets} | {g.image_id for g in gts} | set(tags) | set(image_ids)
     )
-    subsets: Dict[str, Optional[SubsetReport]] = {
-        "all": _subset_report(dets, gts, all_ids, iou_threshold, num_classes)
-    }
+    result = match_all(dets, gts, iou_threshold, image_ids=all_ids)
+    subsets: Dict[str, Optional[SubsetReport]] = {"all": _subset_report(result, num_classes)}
     for tag in sorted(set(tags.values())):
-        ids = [i for i in all_ids if tags.get(i) == tag]
-        if not ids:
-            subsets[tag] = None
-            continue
-        id_set = set(ids)
-        subsets[tag] = _subset_report(
-            [d for d in dets if d.image_id in id_set],
-            [g for g in gts if g.image_id in id_set],
-            ids,
-            iou_threshold,
-            num_classes,
+        num_gt: Dict[int, int] = {}
+        for g in gts:
+            if not g.ignore and tags.get(g.image_id) == tag:
+                num_gt[g.class_id] = num_gt.get(g.class_id, 0) + 1
+        subset = MatchResult(
+            detections=[m for m in result.detections if tags.get(m.image_id) == tag],
+            num_gt=num_gt,
+            num_images=sum(1 for t in tags.values() if t == tag),
         )
+        subsets[tag] = _subset_report(subset, num_classes)
     return EvalReport(subsets=subsets, num_classes=num_classes, class_names=class_names)

@@ -156,6 +156,58 @@ class TestEval:
         assert subsets[False]["all"] == subsets[True]["all"]
 
 
+class TestDeclaredImages:
+    """Image b is declared by a record with neither bbox nor tag."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(
+            gt,
+            [
+                {"meta": {"num_classes": 1}},
+                {"image_id": "a", "bbox": [0, 0, 10, 20], "class_id": 1},
+                {"image_id": "a", "bbox": [50, 0, 10, 20], "class_id": 1},
+                {"image_id": "b"},
+            ],
+        )
+        dets = tmp_path / "dets.jsonl"
+        # a TP, three FPs on c, then the second TP: LAMR depends on the image count
+        scored = [("a", 0, 0.9), ("c", 200, 0.8), ("c", 300, 0.79), ("c", 400, 0.75), ("a", 50, 0.7)]
+        write_jsonl(
+            dets,
+            [
+                {"image_id": i, "modality": "rgb", "bbox": [x, 0, 10, 20], "posteriors": [1 - p, p]}
+                for i, x, p in scored
+            ],
+        )
+        return dets, gt
+
+    def test_eval_counts_every_declared_image(self, inputs, tmp_path):
+        dets, gt = inputs
+        for extra in ([], ["--breakdown"]):
+            prefix = tmp_path / "report"
+            assert main(["eval", str(dets), str(gt), "--out-prefix", str(prefix), *extra]) == 0
+            subsets = json.loads((tmp_path / "report.json").read_text())["subsets"]
+            assert subsets["all"]["num_images"] == 3
+
+    def test_calibrate_counts_every_declared_image(self, inputs, tmp_path):
+        from proben import lamr, match_all
+        from proben.fileio import read_detections, read_ground_truth
+
+        dets, gt = inputs
+        prefix = tmp_path / "cal"
+        argv = [
+            "calibrate", str(dets), "--ground-truth", str(gt), "--calibrate-modality", "rgb",
+            "--grid-t", "1:1:1", "--grid-b", "0:0:1", "--out-prefix", str(prefix),
+        ]
+        assert main(argv) == 0
+        value = float((tmp_path / "cal.surface.csv").read_text().splitlines()[1].split(",")[2])
+        result = match_all(read_detections(dets), read_ground_truth(gt)[0])
+        assert lamr(result, 2) != lamr(result, 3)
+        assert value == lamr(result, 3)
+
+
 class TestCalibrate:
     def test_grid_outputs(self, fig3_inputs, gt_file, tmp_path):
         rgb, thermal = fig3_inputs

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,138 @@ class TestDetectionParsing:
         assert read_detections(path, modality_override="rgb")
 
 
+def mixed_records(rng, width, count=60):
+    """Records of every score kind for K = width - 1 classes, with planted
+    ties, extreme logits and posteriors at exactly 0 and 1."""
+    k = width - 1
+    records = []
+    for i in range(count):
+        record = {"image_id": f"img{i % 7}", "modality": "rgb", "bbox": [i, 2.0 * i, 5.5, 9.25]}
+        kind = ("logits", "posteriors", "score")[int(rng.integers(3))]
+        if kind == "logits":
+            logits = rng.normal(0.0, 3.0, width) * (40.0 if i % 11 == 0 else 1.0)
+            if i % 5 == 0:
+                logits[int(rng.integers(width))] = logits.max()  # tied maximum
+            record["logits"] = [float(v) for v in logits]
+        elif kind == "posteriors":
+            exp = np.exp(rng.normal(0.0, 2.0, width))
+            p = exp / exp.sum()
+            if i % 6 == 0:
+                p = np.zeros(width)
+                p[int(rng.integers(width))] = 1.0  # clamped before the log
+            elif i % 4 == 0:
+                p[1:] = p[1]  # tied foreground
+                p = p / p.sum()
+            record["posteriors"] = [float(v) for v in p]
+        else:
+            record["score"] = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            record["class_id"] = int(rng.integers(1, k + 1))
+        records.append(record)
+    return records
+
+
+def per_record_scores(record, num_classes):
+    """What a reader that builds one ClassScores per record gives."""
+    if "logits" in record:
+        return ClassScores.from_logits([float(v) for v in record["logits"]])
+    if "posteriors" in record:
+        return ClassScores.from_posteriors([float(v) for v in record["posteriors"]])
+    row = [0.0] * (num_classes + 1)
+    row[0] = 1.0 - record["score"]
+    row[record["class_id"]] = record["score"]
+    return ClassScores.from_posteriors(row)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestStackedIngest:
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_scores_bit_identical_to_per_record(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        records = mixed_records(rng, width)
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # clamped posteriors warn
+            parsed = read_detections(path, num_classes=width - 1)
+            expected = [per_record_scores(r, width - 1) for r in records]
+        assert len(parsed) == len(records)
+        for d, want in zip(parsed, expected):
+            assert bits(d.scores.logits) == bits(want.logits)
+            assert bits(d.scores.posteriors) == bits(want.posteriors)
+            assert bits(d.scores.score) == bits(want.score)
+            assert d.scores.argmax_foreground() == want.argmax_foreground()
+
+    def test_one_constructor_call_per_score_kind(self, tmp_path, monkeypatch):
+        records = mixed_records(np.random.default_rng(0), 3)
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        calls = []
+        for name in ("from_logits", "from_posteriors"):
+            method = getattr(ClassScores, name).__func__
+
+            def counted(cls, rows, method=method, name=name):
+                calls.append(name)
+                return method(cls, rows)
+
+            monkeypatch.setattr(ClassScores, name, classmethod(counted))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            read_detections(path, num_classes=2)
+        # posteriors and score records each make one from_posteriors call
+        assert sorted(calls) == ["from_logits", "from_posteriors", "from_posteriors"]
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                [
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [0, 1]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [NaN, 1.0]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [0, 1, 2]}',
+                ],
+                ":2: invalid logits: softmax requires finite entries",
+            ),
+            (
+                [
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "posteriors": [0.3, 0.7]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "posteriors": [1.5, -0.5]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, -5, 5], "posteriors": [0.3, 0.7]}',
+                ],
+                r":2: invalid posteriors: posterior entries must lie in \[0, 1\]",
+            ),
+            (
+                [
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [0, 1]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "posteriors": [0.9, 0.9]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [1.0, NaN]}',
+                ],
+                ":2: invalid posteriors: posteriors must sum to 1",
+            ),
+            (
+                [
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [0, 1]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [NaN, 1, 2]}',
+                ],
+                ":2: invalid logits: softmax requires finite entries",
+            ),
+        ],
+        ids=[
+            "nan-before-class-count",
+            "range-before-bbox",
+            "posteriors-before-logits",
+            "nan-and-class-count-on-one-line",
+        ],
+    )
+    def test_first_bad_line_reported(self, tmp_path, lines, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message):
+            read_detections(path)
+
+
 class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "gt.jsonl"
@@ -148,11 +281,12 @@ class TestGroundTruthFile:
         ]
         tags = {"a": "day", "b": "night", "c": "night"}
         write_ground_truth(path, gts, tags, num_classes=2, class_names=["person", "car"])
-        parsed, parsed_tags, k, names = read_ground_truth(path)
+        parsed, parsed_tags, k, names, image_ids = read_ground_truth(path)
         assert parsed == gts
         assert parsed_tags == tags
         assert k == 2
         assert names == ["person", "car"]
+        assert image_ids == ["a", "b", "c"]
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "gt.jsonl"
@@ -172,9 +306,10 @@ class TestGroundTruthFile:
     def test_tag_only_record_declares_image(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         path.write_text('{"meta": {"num_classes": 1}}\n{"image_id": "empty", "tag": "day"}\n')
-        gts, tags, _, _ = read_ground_truth(path)
+        gts, tags, _, _, image_ids = read_ground_truth(path)
         assert gts == []
         assert tags == {"empty": "day"}
+        assert image_ids == ["empty"]
 
     def test_invalid_tag_rejected(self, tmp_path):
         path = tmp_path / "gt.jsonl"

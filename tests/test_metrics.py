@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from proben import (
     match,
     match_all,
 )
+from proben import metrics
 from proben.metrics import FP, IGNORED, TP, REFERENCE_FPPI
 
 
@@ -319,3 +321,91 @@ class TestBreakdown:
         assert set(payload["subsets"]) == {"all", "day", "night"}
         text = report.to_text()
         assert "AP[person]" in text
+
+
+def subset_reference(dets, gts, ids, num_classes):
+    """A subset evaluated the way breakdown did before matching once: its own
+    match_all over its images, then AP, LAMR and both curves from the result."""
+    id_set = set(ids)
+    result = match_all(
+        [d for d in dets if d.image_id in id_set],
+        [g for g in gts if g.image_id in id_set],
+        0.5,
+        image_ids=ids,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ap = {c: average_precision(result, c) for c in range(1, num_classes + 1)}
+    pr_curves = {}
+    for c in range(1, num_classes + 1):
+        recall, precision, _ = metrics._pr_points(result, c)
+        pr_curves[c] = (list(recall), list(precision))
+    if sum(result.num_gt.values()) > 0:
+        fppi, miss = metrics._miss_fppi_curve(result, len(ids))
+        lamr_value, miss_curve = lamr(result, len(ids)), (list(fppi), list(miss))
+    else:
+        lamr_value, miss_curve = None, ([], [])
+    labels = [m.label for m in result.detections]
+    return {
+        "num_images": len(ids),
+        "num_gt": result.num_gt,
+        "ap": ap,
+        "lamr": lamr_value,
+        "tp": labels.count(TP),
+        "fp": labels.count(FP),
+        "pr_curves": pr_curves,
+        "miss_curve": miss_curve,
+    }
+
+
+class TestBreakdownMatchesOnce:
+    """Each subset of breakdown, built from one pooled match, equals a subset
+    matched on its own."""
+
+    def _dataset(self, seed):
+        rng = np.random.default_rng(seed)
+        images = [f"im{i:02d}" for i in range(14)]
+        gts, dets = [], []
+        for image in images[:11]:
+            for j in range(int(rng.integers(0, 4))):
+                box = BBox(40.0 * j, 0, 10, 20)
+                gts.append(gt(image, box, int(rng.integers(1, 4)), ignore=rng.random() < 0.2))
+        for i in range(70):
+            image = images[int(rng.integers(0, 12))]
+            j = int(rng.integers(0, 4))
+            box = BBox(40.0 * j + rng.uniform(-2, 2), rng.uniform(-2, 2), 10, 20)
+            p = np.full(4, 0.05)
+            p[int(rng.integers(1, 4))] = 0.85
+            p[0] = rng.choice([0.05, 0.25, 0.45])  # few distinct scores: ties
+            # det_ids repeat across images, so ties fall back on image order
+            dets.append(det(image, box, None, i % 9, posteriors=p / p.sum()))
+        tags = {}
+        for image in images:
+            tag = rng.choice(["day", "night", None])
+            if tag is not None:
+                tags[image] = str(tag)
+        tags["im13"] = "dusk"  # a tag whose one image holds nothing
+        return dets, gts, tags
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_subset_equals_its_own_match(self, seed):
+        dets, gts, tags = self._dataset(seed)
+        report = breakdown(dets, gts, tags, num_classes=3, image_ids=["extra"])
+        all_ids = sorted({d.image_id for d in dets} | {g.image_id for g in gts} | set(tags) | {"extra"})
+        assert any(i not in tags for i in all_ids)  # untagged images
+        assert set(report.subsets) == {"all"} | set(tags.values())
+        for key, subset in report.subsets.items():
+            ids = all_ids if key == "all" else [i for i in all_ids if tags.get(i) == key]
+            want = subset_reference(dets, gts, ids, 3)
+            got = {name: getattr(subset, name) for name in want}
+            assert got == want, key
+
+    def test_match_all_called_once(self, monkeypatch):
+        dets, gts, tags = self._dataset(0)
+        calls = []
+        original = metrics.match_all
+        monkeypatch.setattr(
+            metrics, "match_all", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        breakdown(dets, gts, tags, num_classes=3)
+        assert len(calls) == 1
