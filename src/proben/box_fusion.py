@@ -1,4 +1,4 @@
-"""Bounding-box fusion for one overlap cluster.
+"""Bounding-box fusion for overlap clusters.
 
 The fused box is an inverse-variance weighted average of member boxes; the
 modes differ only in where the variance comes from:
@@ -7,17 +7,103 @@ modes differ only in where the variance comes from:
   avg     all variances fixed to 1 (plain coordinate average)
   s-avg   variance approximated by 1/posterior of the fused argmax class
   v-avg   variance reported by the detector alongside each box
+
+The engine fuses many clusters at once: ``member_weights`` gives every
+member its weight, and ``weighted_average`` and ``fused_variance`` reduce the
+clusters of one size in a few array operations. ``fuse_boxes`` and
+``fused_box_variance`` apply them to a single cluster of detections.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .detections import ClassScores, Detection
-from .errors import ConfigurationError, EmptyClusterError, MissingVarianceError
-from .geometry import BBox, convex_combination
+from .errors import (
+    ConfigurationError,
+    DegenerateWeightsError,
+    EmptyClusterError,
+    MissingVarianceError,
+)
+from .geometry import BBox, box_array, convex_combination
 
 BOX_FUSION_MODES = ("argmax", "avg", "s-avg", "v-avg")
+
+
+def member_weights(mode: str, class_posteriors, variances, det_ids) -> np.ndarray:
+    """The weight of each member in its cluster's average, for a weighted mode.
+
+    class_posteriors holds each member's posterior of its cluster's fused
+    class and variances its box variance (NaN for none), for members in
+    any layout; v-avg names the first member without a variance.
+    """
+    if mode == "avg":
+        return np.ones(np.shape(variances))
+    if mode == "s-avg":
+        return np.asarray(class_posteriors, dtype=float)
+    if mode == "v-avg":
+        variances = np.asarray(variances, dtype=float)
+        missing = np.isnan(variances)
+        if missing.any():
+            det_id = np.asarray(det_ids)[missing][0]
+            raise MissingVarianceError(
+                f"detection {det_id} carries no box_variance (v-avg box fusion)"
+            )
+        return 1.0 / variances
+    raise ConfigurationError(f"unknown box fusion mode {mode!r}")
+
+
+def weighted_average(boxes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``convex_combination`` of each of n clusters of m members, bit for bit.
+
+    boxes (n, m, 4) and weights (n, m); returns the (n, 4) fused boxes. The
+    sums of one or two terms are plain float additions, which round exactly
+    as ``math.fsum`` does (the leading 0.0 turns a -0.0 sum into 0.0, as
+    fsum does). Numpy has no correctly rounded sum of more terms, so larger
+    clusters go through ``convex_combination`` one by one.
+    """
+    n, m = weights.shape
+    peak = weights.max(axis=1)
+    if np.any(peak <= 0):
+        raise DegenerateWeightsError("weights sum to zero")
+    if m > 2:
+        fused = [
+            convex_combination([BBox(*box) for box in cluster], w).as_list()
+            for cluster, w in zip(boxes.tolist(), weights.tolist())
+        ]
+        return np.array(fused, dtype=float).reshape(n, 4)
+    weights = weights / peak[:, None]
+    terms = boxes * weights[:, :, None]
+    total, coords = 0.0 + weights[:, 0], 0.0 + terms[:, 0]
+    if m == 2:
+        total, coords = total + weights[:, 1], coords + terms[:, 1]
+    fused = coords / total[:, None]
+    bad = ~np.isfinite(fused).all(axis=1)
+    if bad.any():
+        BBox(*fused[np.argmax(bad)].tolist())  # raises BBox's error for the first bad box
+    return fused
+
+
+def fused_variance(variances: np.ndarray) -> np.ndarray:
+    """Posterior variance of each fused box, 1 / sum of inverse variances,
+    for (n, m) member variances; NaN where a member reports none.
+
+    The sum runs left to right, as Python's ``sum`` does.
+    """
+    inverse = 1.0 / variances
+    total = inverse[:, 0]
+    for j in range(1, variances.shape[1]):
+        total = total + inverse[:, j]
+    return 1.0 / total
+
+
+def box_variances(detections: Sequence[Detection]) -> np.ndarray:
+    """The detections' box variances, NaN for none."""
+    return np.array(
+        [np.nan if d.box_variance is None else d.box_variance for d in detections], dtype=float
+    )
 
 
 def fuse_boxes(
@@ -28,23 +114,16 @@ def fuse_boxes(
     if len(members) == 0:
         raise EmptyClusterError("box fusion requires a nonempty cluster")
     if mode == "argmax":
-        best = min(members, key=lambda d: d.sort_key)
-        return best.box
-    if mode == "avg":
-        weights = [1.0] * len(members)
-    elif mode == "s-avg":
-        k = fused_scores.argmax_foreground()
-        weights = [float(d.scores.posteriors[k]) for d in members]
-    elif mode == "v-avg":
-        for d in members:
-            if d.box_variance is None:
-                raise MissingVarianceError(
-                    f"detection {d.det_id} carries no box_variance (v-avg box fusion)"
-                )
-        weights = [1.0 / d.box_variance for d in members]
-    else:
-        raise ConfigurationError(f"unknown box fusion mode {mode!r}")
-    return convex_combination([d.box for d in members], weights)
+        return min(members, key=lambda d: d.sort_key).box
+    k = fused_scores.argmax_foreground() if mode == "s-avg" else 0
+    weights = member_weights(
+        mode,
+        [d.scores.posteriors[k] for d in members],
+        box_variances(members),
+        [d.det_id for d in members],
+    )
+    boxes = box_array(d.box for d in members)[None]
+    return BBox(*weighted_average(boxes, weights[None, :])[0].tolist())
 
 
 def fused_box_variance(members: Sequence[Detection]) -> float | None:
@@ -52,6 +131,5 @@ def fused_box_variance(members: Sequence[Detection]) -> float | None:
 
     Returns None unless every member reports a variance.
     """
-    if any(d.box_variance is None for d in members):
-        return None
-    return 1.0 / sum(1.0 / d.box_variance for d in members)
+    value = float(fused_variance(box_variances(members)[None, :])[0])
+    return None if np.isnan(value) else value

@@ -9,10 +9,25 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .detections import Detection, GroundTruth
-from .engine import DetectionBatch, FusionConfig, fuse_all
 from .errors import ConfigurationError
-from .metrics import average_precision, lamr, match_all
 from .score_fusion import CalibrationParams
+
+# fuse_all and match_all are not called here; perfbench/tracing.py wraps
+# them under these names.
+from .engine import (  # noqa: F401
+    DetectionBatch,
+    FusedColumns,
+    FusionConfig,
+    fuse_all,
+    fuse_columns,
+)
+from .metrics import (  # noqa: F401
+    TruthColumns,
+    average_precision,
+    lamr,
+    match_all,
+    match_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -34,16 +49,27 @@ class GridSpec:
 
 
 def _objective_value(
-    fused: Sequence[Detection],
-    gts: Sequence[GroundTruth],
-    image_ids: Sequence[str],
+    fused: FusedColumns,
+    image: np.ndarray,
+    truth: TruthColumns,
     num_classes: int,
     objective: str,
     iou_threshold: float,
 ) -> float:
-    result = match_all(fused, gts, iou_threshold, image_ids=image_ids)
+    """The objective of fused columns; image maps the batch's image index
+    to the index in truth.image_ids."""
+    scores = fused.scores
+    result = match_columns(
+        truth,
+        image[fused.image],
+        fused.boxes,
+        scores.score,
+        scores.argmax_foreground(),
+        fused.det_id,
+        iou_threshold,
+    )
     if objective == "lamr":
-        return lamr(result, len(image_ids))
+        return lamr(result, len(truth.image_ids))
     if objective == "ap":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -68,7 +94,8 @@ def grid_search(
 ) -> Tuple[CalibrationParams, List[Tuple[float, float, float]]]:
     """Evaluate fuse+eval at every (T, b) grid point; return the optimum.
 
-    The detections are batched once; every grid point re-fuses that batch.
+    The detections are batched and the ground truths put in columns once;
+    every grid point re-fuses that batch and matches the fused columns.
     LAMR is minimized, AP maximized. Ties break toward the point closest to
     (1, 0), then lexicographically by (T, b).
     """
@@ -81,15 +108,21 @@ def grid_search(
         )
 
     batch = DetectionBatch(detection_sets)
+    truth = TruthColumns(gts, image_ids)
+    image = truth.positions(batch.image_ids)
     surface: List[Tuple[float, float, float]] = []
     for t in t_grid.values():
         for b in b_grid.values():
             calibration: Dict[str, CalibrationParams] = dict(config.calibration)
             calibration[modality] = CalibrationParams(temperature=t, shift=b)
             trial = replace(config, calibration=calibration)
-            fused = fuse_all(batch, trial)
             value = _objective_value(
-                fused, gts, image_ids, num_classes, objective, config.iou_threshold
+                fuse_columns(batch, trial),
+                image,
+                truth,
+                num_classes,
+                objective,
+                config.iou_threshold,
             )
             surface.append((float(t), float(b), value))
 

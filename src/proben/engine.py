@@ -7,10 +7,12 @@ remove the whole overlap set, repeat. In ``max`` score-fusion mode the seed
 is emitted unchanged, which makes the loop degenerate to classic NMS.
 
 A ``DetectionBatch`` holds what this needs that does not depend on scores:
-the grouping by image, the stacked score rows and every same-image pairwise
-IoU. A calibration grid search builds it once and calls ``fuse_all`` per
-grid point, so each point pays only for re-ranking, clustering, fusion and
-matching.
+the grouping by image, the box and score columns and every same-image
+pairwise IoU. ``fuse_columns`` fuses a batch into columns (image, seed,
+modalities, boxes, variances, scores) without building a per-cluster
+object; ``fuse_all`` turns them into ``Detection`` objects. A calibration
+grid search builds the batch once and calls ``fuse_columns`` per grid point,
+so each point pays only for re-ranking, clustering, fusion and matching.
 
 Also hosts the no-suppression pooling baseline.
 """
@@ -20,14 +22,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .box_fusion import BOX_FUSION_MODES, fuse_boxes, fused_box_variance
+# fuse_boxes and iou are not called here; perfbench/tracing.py wraps them
+# under these names.
+from .box_fusion import (  # noqa: F401
+    BOX_FUSION_MODES,
+    box_variances,
+    fuse_boxes,
+    fused_variance,
+    member_weights,
+    weighted_average,
+)
 from .detections import ClassPrior, ClassScores, Detection
 from .errors import ConfigurationError
-from .geometry import iou
+from .geometry import BBox, box_array, box_iou, iou  # noqa: F401
 from .score_fusion import (
     CalibrationParams,
     LinearFusionWeights,
@@ -71,43 +82,65 @@ class DetectionBatch:
     """Detection sets prepared for fusion.
 
     Holds the detections grouped by image id (sorted; input order within an
-    image), all score rows stacked in that order, the rows of each modality,
-    and for each detection the same-image detections its box overlaps with
-    their IoU. None of it depends on scores, so one batch serves every
-    ``fuse_all`` call over the same detections, whatever the calibration.
+    image) and, in that order, their columns: image index, det_id, modality,
+    boxes (N, 4), box variances (NaN for none) and all score rows stacked;
+    also the rows of each modality and every same-image pair of overlapping
+    boxes (rows i < j) with its IoU. None of it depends on scores, so one
+    batch serves every ``fuse_all`` call over the same detections, whatever
+    the calibration.
     """
 
     def __init__(self, detection_sets: Sequence[Sequence[Detection]]):
         by_image: Dict[str, List[Detection]] = {}
         for d in chain.from_iterable(detection_sets):
             by_image.setdefault(d.image_id, []).append(d)
-        image_ids = sorted(by_image)
-        self.detections = [d for image_id in image_ids for d in by_image[image_id]]
+        self.image_ids = sorted(by_image)
+        self.detections = [d for image_id in self.image_ids for d in by_image[image_id]]
         widths = {len(d.scores.posteriors) for d in self.detections}
         if len(widths) > 1:
             raise ConfigurationError(f"inconsistent class counts across inputs: {sorted(widths)}")
 
-        # detections of image k are self.detections[bounds[k]:bounds[k + 1]]
-        self.bounds = [0]
-        for image_id in image_ids:
-            self.bounds.append(self.bounds[-1] + len(by_image[image_id]))
-        self.image_index = np.repeat(np.arange(len(image_ids)), np.diff(self.bounds))
+        sizes = [len(by_image[image_id]) for image_id in self.image_ids]
+        self.image_index = np.repeat(np.arange(len(sizes)), sizes)
         self.det_ids = np.array([d.det_id for d in self.detections], dtype=np.int64)
         self.modalities = [d.modality for d in self.detections]
-        self.rows: Dict[str, np.ndarray] = {}
-        for modality in dict.fromkeys(self.modalities):
-            self.rows[modality] = np.flatnonzero(np.array(self.modalities) == modality)
-        self.scores = ClassScores.stack([d.scores for d in self.detections]) if widths else None
+        self.modality_names = sorted(set(self.modalities))
+        code = {modality: k for k, modality in enumerate(self.modality_names)}
+        self.modality_codes = np.array([code[m] for m in self.modalities], dtype=np.int64)
+        self.rows: Dict[str, np.ndarray] = {
+            modality: np.flatnonzero(self.modality_codes == code[modality])
+            for modality in dict.fromkeys(self.modalities)
+        }
+        self.boxes = box_array(d.box for d in self.detections)
+        self.variances = box_variances(self.detections)
+        if widths:
+            self.scores = ClassScores.stack([d.scores for d in self.detections])
+        else:  # an empty stack of one-class rows
+            self.scores = ClassScores(logits=np.zeros((0, 2)), posteriors=np.zeros((0, 2)))
 
-        self.overlaps: List[List[Tuple[int, float]]] = [[] for _ in self.detections]
-        for start, end in zip(self.bounds, self.bounds[1:]):
-            for i in range(start, end):
-                box = self.detections[i].box
-                for j in range(i + 1, end):
-                    value = iou(box, self.detections[j].box)
-                    if value > 0.0:
-                        self.overlaps[i].append((j, value))
-                        self.overlaps[j].append((i, value))
+        # every same-image pair i < j: row i pairs with the `later` rows after
+        # it up to the end of its image
+        rows = np.arange(len(self.detections))
+        later = np.repeat(np.cumsum(sizes, dtype=np.int64), sizes) - rows - 1
+        first = np.repeat(rows, later)
+        second = np.arange(later.sum()) - np.repeat(np.cumsum(later) - later - rows - 1, later)
+        value = box_iou(self.boxes[first], self.boxes[second])
+        keep = value > 0.0
+        self.pairs = (first[keep], second[keep], value[keep])
+
+
+@dataclass(frozen=True)
+class FusedColumns:
+    """Fused detections as columns, one row per cluster: grouped by image in
+    batch order, each image's rows sorted as ``Detection.sort_key`` sorts."""
+
+    image: np.ndarray  # index into the batch's image_ids
+    seed: np.ndarray  # batch row of the cluster's seed
+    det_id: np.ndarray  # the seed's det_id
+    modality: np.ndarray  # "+"-joined sorted modalities of the members
+    boxes: np.ndarray  # (C, 4)
+    variances: np.ndarray  # fused box variance, NaN where a member has none
+    scores: ClassScores  # (C, K+1) stack
 
 
 def pool(detection_sets: Sequence[Sequence[Detection]]) -> List[Detection]:
@@ -116,8 +149,7 @@ def pool(detection_sets: Sequence[Sequence[Detection]]) -> List[Detection]:
 
 
 def _calibrated(batch: DetectionBatch, calibration: Mapping[str, CalibrationParams]):
-    """All score rows after per-modality calibration, one call per modality;
-    also returns the modalities whose rows changed."""
+    """All score rows after per-modality calibration, one call per modality."""
     scores = batch.scores
     changed: Dict[str, ClassScores] = {}
     for modality, params in calibration.items():
@@ -129,13 +161,13 @@ def _calibrated(batch: DetectionBatch, calibration: Mapping[str, CalibrationPara
         if calibrated is not raw:
             changed[modality] = calibrated
     if not changed:
-        return scores, changed
+        return scores
     logits, posteriors = scores.logits.copy(), scores.posteriors.copy()
     for modality, calibrated in changed.items():
         logits[batch.rows[modality]] = calibrated.logits
         posteriors[batch.rows[modality]] = calibrated.posteriors
     logits.flags.writeable = posteriors.flags.writeable = False
-    return ClassScores(logits=logits, posteriors=posteriors), changed
+    return ClassScores(logits=logits, posteriors=posteriors)
 
 
 def _select_per_modality(members: Sequence[int], modalities: Sequence[str]) -> List[int]:
@@ -146,23 +178,148 @@ def _select_per_modality(members: Sequence[int], modalities: Sequence[str]) -> L
     return list(best.values())
 
 
-def _fuse_group(clusters: List[List[int]], scores: ClassScores, batch, config, prior) -> ClassScores:
-    """Fuse the scores of same-size clusters in one score-rule call: member j
-    of every cluster is a row of the j-th stacked input; one row out per cluster."""
-    members = [
+def _clusters(batch: DetectionBatch, scores: ClassScores, config: FusionConfig) -> List[List[int]]:
+    """Greedy clustering: the ranked members of each cluster (in max mode just
+    the seed), in emission order: image by image, seeds best first."""
+    # Rank by the sort key (-score, class, det_id) within each image; ties
+    # keep input order.
+    classes = scores.argmax_foreground()
+    order = np.lexsort((batch.det_ids, classes, -scores.score, batch.image_index))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+
+    # Each row's same-class partners above the threshold, ranked: row i's
+    # are partners[start[i]:start[i + 1]].
+    first, second, value = batch.pairs
+    hit = (value > config.iou_threshold) & (classes[first] == classes[second])
+    rows = np.concatenate((first[hit], second[hit]))
+    partners = np.concatenate((second[hit], first[hit]))
+    ranked = np.lexsort((rank[partners], rows))
+    start = np.searchsorted(rows[ranked], np.arange(len(order) + 1)).tolist()
+    partners = partners[ranked].tolist()
+
+    alive = [True] * len(order)
+    clusters: List[List[int]] = []
+    for seed in order.tolist():
+        if not alive[seed]:
+            continue
+        overlap = [seed] + [j for j in partners[start[seed] : start[seed + 1]] if alive[j]]
+        for j in overlap:
+            alive[j] = False
+        if config.score_fusion == "max":
+            clusters.append([seed])
+        else:
+            clusters.append(_select_per_modality(overlap, batch.modalities))
+    return clusters
+
+
+def _fuse_scores(members: np.ndarray, scores: ClassScores, batch, config, prior) -> ClassScores:
+    """Fuse the scores of same-size clusters in one score-rule call: members
+    holds one cluster per row, and its column j is the j-th stacked input;
+    one row out per cluster."""
+    stacked = [
         ClassScores(logits=scores.logits[rows], posteriors=scores.posteriors[rows])
-        for rows in np.array(clusters).T
+        for rows in members.T
     ]
     if config.score_fusion == "avg-posteriors":
-        return fuse_avg_posteriors(members)
+        return fuse_avg_posteriors(stacked)
     if config.score_fusion == "avg-logits":
-        return fuse_avg_logits(members)
+        return fuse_avg_logits(stacked)
     if config.score_fusion == "proben":
-        return fuse_proben(members, prior, len(members))
+        return fuse_proben(stacked, prior, len(stacked))
     if config.score_fusion == "linear":
-        modalities = [batch.modalities[i] for i in clusters[0]]
-        return fuse_linear(dict(zip(modalities, members)), config.weights)
+        modalities = [batch.modalities[i] for i in members[0]]
+        return fuse_linear(dict(zip(modalities, stacked)), config.weights)
     raise ConfigurationError(config.score_fusion)  # pragma: no cover - guarded by FusionConfig
+
+
+def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
+    """Fuse every image of a batch; the fused detections come out as columns.
+
+    Calibration is applied per modality before clustering. Clusters of one
+    size are fused together: one score-rule call per size (per modality
+    order for linear fusion, whose sum runs in that order), and one
+    weighted average of boxes and of inverse variances per size.
+    """
+    scores = _calibrated(batch, config.calibration)
+    clusters = _clusters(batch, scores, config)
+    sizes = np.array([len(members) for members in clusters], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(clusters), dtype=np.int64, count=int(sizes.sum()))
+    offsets = np.cumsum(sizes) - sizes  # cluster c's members are flat[offsets[c]:][:sizes[c]]
+    seed = flat[offsets]
+
+    if config.score_fusion == "max":  # the seeds themselves
+        fused = ClassScores(logits=scores.logits[seed], posteriors=scores.posteriors[seed])
+        modality = np.array(batch.modalities, dtype=object)[seed]
+        return _sorted_columns(
+            batch, seed, modality, batch.boxes[seed], batch.variances[seed], fused
+        )
+
+    # clusters with the same members layout; keys in order of first appearance
+    groups: Dict[object, List[int]] = {}
+    for c, members in enumerate(clusters):
+        if config.score_fusion == "linear":
+            key = tuple(batch.modalities[i] for i in members)
+        else:
+            key = len(members)
+        groups.setdefault(key, []).append(c)
+    layouts = []
+    for numbers in groups.values():
+        numbers = np.array(numbers, dtype=np.int64)
+        positions = offsets[numbers][:, None] + np.arange(sizes[numbers[0]])
+        layouts.append((numbers, positions, flat[positions]))
+
+    prior = config.prior
+    if prior is None:
+        prior = ClassPrior.uniform(scores.num_foreground)
+    logits = np.empty((len(clusters), scores.logits.shape[1]))
+    posteriors = np.empty_like(logits)
+    for numbers, _, members in layouts:
+        group = _fuse_scores(members, scores, batch, config, prior)
+        logits[numbers], posteriors[numbers] = group.logits, group.posteriors
+    fused = ClassScores(logits=logits, posteriors=posteriors)
+
+    boxes = np.empty((len(clusters), 4))
+    variances = np.empty(len(clusters))
+    modality = np.empty(len(clusters), dtype=object)
+    weights = None
+    if config.box_fusion != "argmax":
+        # flat member order is emission order, so errors name the first member
+        fused_class = np.repeat(fused.argmax_foreground(), sizes)
+        weights = member_weights(
+            config.box_fusion,
+            scores.posteriors[flat, fused_class],
+            batch.variances[flat],
+            batch.det_ids[flat],
+        )
+    for numbers, positions, members in layouts:
+        if weights is None:
+            boxes[numbers] = batch.boxes[members[:, 0]]
+        else:
+            boxes[numbers] = weighted_average(batch.boxes[members], weights[positions])
+        variances[numbers] = fused_variance(batch.variances[members])
+        names, which = np.unique(
+            np.sort(batch.modality_codes[members], axis=1), axis=0, return_inverse=True
+        )
+        joined = ["+".join(batch.modality_names[k] for k in row) for row in names.tolist()]
+        modality[numbers] = np.array(joined, dtype=object)[which.reshape(-1)]
+    return _sorted_columns(batch, seed, modality, boxes, variances, fused)
+
+
+def _sorted_columns(batch, seed, modality, boxes, variances, scores) -> FusedColumns:
+    """The columns of clusters in emission order, each image's rows sorted by
+    the sort key; ties keep emission order."""
+    image, det_id = batch.image_index[seed], batch.det_ids[seed]
+    order = np.lexsort((det_id, scores.argmax_foreground(), -scores.score, image))
+    return FusedColumns(
+        image=image[order],
+        seed=seed[order],
+        det_id=det_id[order],
+        modality=modality[order],
+        boxes=boxes[order],
+        variances=variances[order],
+        scores=ClassScores(logits=scores.logits[order], posteriors=scores.posteriors[order]),
+    )
 
 
 def fuse_all(
@@ -173,92 +330,38 @@ def fuse_all(
 
     Calibration is applied per modality before clustering. Output is grouped
     by image id in sorted order, each image's detections sorted by fused
-    posterior descending.
+    posterior descending. In max mode the output holds the seeds themselves,
+    with their calibrated scores.
     """
     batch = detections if isinstance(detections, DetectionBatch) else DetectionBatch(detections)
-    if not batch.detections:
-        return []
-    scores, changed = _calibrated(batch, config.calibration)
-    prior = config.prior
-    if prior is None:
-        prior = ClassPrior.uniform(scores.num_foreground)
-
-    def detection(i):
-        d = batch.detections[i]
-        if d.modality in changed:
-            d = d.with_scores(scores.row(i))
-        return d
-
-    # Rank by the sort key (-score, class, det_id) within each image; ties
-    # keep input order.
-    classes = scores.argmax_foreground()
-    order = np.lexsort((batch.det_ids, classes, -scores.score, batch.image_index))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    order, rank, classes = order.tolist(), rank.tolist(), classes.tolist()
-
-    # Greedy clustering: the ranked members of each cluster (in max mode just
-    # the seed), image by image; image k's clusters end at image_ends[k].
-    threshold = config.iou_threshold
-    alive = [True] * len(order)
-    clusters: List[List[int]] = []
-    image_ends: List[int] = []
-    for start, end in zip(batch.bounds, batch.bounds[1:]):
-        for seed in order[start:end]:
-            if not alive[seed]:
-                continue
-            cls = classes[seed]
-            overlap = [seed] + sorted(
-                (
-                    j
-                    for j, value in batch.overlaps[seed]
-                    if value > threshold and alive[j] and classes[j] == cls
-                ),
-                key=rank.__getitem__,
-            )
-            for j in overlap:
-                alive[j] = False
-            if config.score_fusion == "max":
-                clusters.append([seed])
-            else:
-                clusters.append(_select_per_modality(overlap, batch.modalities))
-        image_ends.append(len(clusters))
-
-    fused_scores: List[Optional[ClassScores]] = [None] * len(clusters)
-    if config.score_fusion != "max":
-        # One score-rule call per cluster size (per modality order for linear
-        # fusion, whose sum runs in that order).
-        groups: Dict[object, List[int]] = {}
-        for c, members in enumerate(clusters):
-            if config.score_fusion == "linear":
-                key = tuple(batch.modalities[i] for i in members)
-            else:
-                key = len(members)
-            groups.setdefault(key, []).append(c)
-        for numbers in groups.values():
-            fused = _fuse_group([clusters[c] for c in numbers], scores, batch, config, prior)
-            for g, c in enumerate(numbers):
-                fused_scores[c] = fused.row(g)
-
+    fused = fuse_columns(batch, config)
     out: List[Detection] = []
-    for first, last in zip([0] + image_ends, image_ends):
-        emitted = []
-        for cluster, fused in zip(clusters[first:last], fused_scores[first:last]):
-            members = [detection(i) for i in cluster]
-            if fused is None:  # max: the seed itself
-                emitted.append(members[0])
-                continue
-            emitted.append(
-                Detection(
-                    image_id=members[0].image_id,
-                    modality="+".join(sorted({d.modality for d in members})),
-                    box=fuse_boxes(members, fused, config.box_fusion),
-                    scores=fused,
-                    box_variance=fused_box_variance(members),
-                    det_id=members[0].det_id,
-                )
+    for c, (image, seed, det_id, modality, box, variance) in enumerate(
+        zip(
+            fused.image.tolist(),
+            fused.seed.tolist(),
+            fused.det_id.tolist(),
+            fused.modality,
+            fused.boxes.tolist(),
+            fused.variances.tolist(),
+        )
+    ):
+        if config.score_fusion == "max":
+            d = batch.detections[seed]
+            if d.modality in config.calibration:
+                d = d.with_scores(fused.scores.row(c))
+            out.append(d)
+            continue
+        out.append(
+            Detection(
+                image_id=batch.image_ids[image],
+                modality=modality,
+                box=BBox(*box),
+                scores=fused.scores.row(c),
+                box_variance=None if math.isnan(variance) else variance,
+                det_id=det_id,
             )
-        out.extend(sorted(emitted, key=lambda d: d.sort_key))
+        )
     return out
 
 

@@ -45,7 +45,10 @@ def _score_row(record, path, line_no, num_classes) -> Tuple[str, List[float]]:
     kind = present[0]
     try:
         if kind != "score":
-            return kind, [float(v) for v in record[kind]]
+            row = [float(v) for v in record[kind]]
+            if len(row) < 2:
+                raise ValueError("score vector has no foreground classes")
+            return kind, row
         score = float(record["score"])
         class_id = int(record.get("class_id", 1))
         if not 0.0 <= score <= 1.0:
@@ -157,7 +160,7 @@ def read_detections(
                 if variance is not None:
                     variance = float(variance)
                 check_box_variance(variance)
-            except ValueError as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
             image_ids.append(str(record["image_id"]))
             modalities.append(str(modality))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DegenerateWeightsError
 
@@ -60,6 +62,29 @@ def iou(a: BBox, b: BBox) -> float:
     inter = iw * ih
     # rounding in x2/y2 can push the ratio a hair outside [0, 1]
     return min(max(inter / (a.area + b.area - inter), 0.0), 1.0)
+
+
+def box_array(boxes: Iterable[BBox]) -> np.ndarray:
+    """Boxes as the rows (x, y, w, h) of an (N, 4) array."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` over arrays of boxes, equal to it bit for bit.
+
+    a and b hold boxes as rows (x, y, w, h) along their last axis and
+    broadcast against each other: (N, 4) with (N, 4) gives N pairwise values,
+    (N, 1, 4) with (M, 4) an (N, M) matrix.
+    """
+    ax, ay, aw, ah = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bx, by, bw, bh = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = iw * ih
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.clip(inter / (aw * ah + bw * bh - inter), 0.0, 1.0)
+    value = np.where((iw <= 0) | (ih <= 0), 0.0, value)
+    return np.where((ax == bx) & (ay == by) & (aw == bw) & (ah == bh), 1.0, value)
 
 
 def convex_combination(boxes: Sequence[BBox], weights: Sequence[float]) -> BBox:

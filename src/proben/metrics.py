@@ -11,13 +11,15 @@ values log-spaced in [1e-2, 1].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .detections import Detection, GroundTruth
-from .geometry import iou
+
+# iou is not called here; perfbench/tracing.py wraps it under this name.
+from .geometry import box_array, box_iou, iou  # noqa: F401
 
 TP = "TP"
 FP = "FP"
@@ -36,20 +38,153 @@ class MatchedDetection:
     image_id: str
 
 
+LABELS = np.array([TP, FP, IGNORED])
+
+
 @dataclass
 class MatchResult:
-    """Pooled match labels, sorted by score descending, plus GT counts."""
+    """Pooled match labels as columns, one row per matched detection, sorted
+    by score descending (ties: lower class id, lower det_id, earlier image,
+    then input order), plus GT counts."""
 
-    detections: List[MatchedDetection] = field(default_factory=list)
-    num_gt: Dict[int, int] = field(default_factory=dict)
-    num_images: int = 0
+    score: np.ndarray
+    class_id: np.ndarray
+    label: np.ndarray  # TP, FP or IGNORED
+    det_id: np.ndarray
+    image_id: np.ndarray
+    num_gt: Dict[int, int]
+    num_images: int
+
+    @property
+    def detections(self) -> List[MatchedDetection]:
+        """The rows as objects."""
+        return [
+            MatchedDetection(*row)
+            for row in zip(
+                self.score.tolist(),
+                self.class_id.tolist(),
+                self.label.tolist(),
+                self.det_id.tolist(),
+                self.image_id.tolist(),
+            )
+        ]
+
+    def rows(self, keep: np.ndarray, num_gt: Dict[int, int], num_images: int) -> "MatchResult":
+        """The rows selected by keep, with the given GT and image counts."""
+        return MatchResult(
+            self.score[keep],
+            self.class_id[keep],
+            self.label[keep],
+            self.det_id[keep],
+            self.image_id[keep],
+            num_gt,
+            num_images,
+        )
 
     def merge(self, other: "MatchResult") -> None:
-        """Add other's labels and counts in place; the caller re-sorts."""
-        self.detections.extend(other.detections)
+        """Add other's rows and counts in place; the caller re-sorts."""
+        for name in ("score", "class_id", "label", "det_id", "image_id"):
+            setattr(self, name, np.concatenate((getattr(self, name), getattr(other, name))))
         for cls, n in other.num_gt.items():
             self.num_gt[cls] = self.num_gt.get(cls, 0) + n
         self.num_images += other.num_images
+
+
+class TruthColumns:
+    """The ground truths of a list of images as columns, grouped by image.
+
+    Image k of image_ids holds rows start[k]:start[k + 1], in input order;
+    ground truths of other images are left out.
+    """
+
+    def __init__(self, gts: Sequence[GroundTruth], image_ids: Sequence[str]):
+        self.image_ids = np.array(image_ids, dtype=object)
+        self.index = {image_id: k for k, image_id in enumerate(image_ids)}
+        image = self.positions([g.image_id for g in gts])
+        kept = np.flatnonzero(image >= 0)
+        kept = kept[np.argsort(image[kept], kind="stable")]
+        self.boxes = box_array(gts[i].box for i in kept)
+        self.class_id = np.array([gts[i].class_id for i in kept], dtype=np.int64)
+        self.ignore = np.array([gts[i].ignore for i in kept], dtype=bool)
+        self.start = np.searchsorted(image[kept], np.arange(len(image_ids) + 1))
+        classes, counts = np.unique(self.class_id[~self.ignore], return_counts=True)
+        self.num_gt = dict(zip(classes.tolist(), counts.tolist()))
+
+    def positions(self, image_ids: Sequence[str]) -> np.ndarray:
+        """The index of each given image id in this image list, -1 if absent."""
+        return np.array([self.index.get(i, -1) for i in image_ids], dtype=np.int64)
+
+
+def match_columns(
+    truth: TruthColumns,
+    image: np.ndarray,
+    boxes: np.ndarray,
+    score: np.ndarray,
+    class_id: np.ndarray,
+    det_id: np.ndarray,
+    iou_threshold: float = 0.5,
+) -> MatchResult:
+    """Greedy matching of detection columns against the ground truths of
+    their images, pooled.
+
+    image holds each detection's index in truth.image_ids; detections of
+    other images (-1) drop out. Within an image, detections are visited in
+    sort-key order; each takes the highest-IoU unmatched non-ignored ground
+    truth of its class above the threshold (ties: the earlier one). A
+    detection that cannot claim a real ground truth but overlaps an
+    ignore-flagged one above threshold is labeled IGNORED, otherwise FP.
+    The IoU of every detection with every ground truth of its image is
+    computed in one pass; only the above-threshold candidates are visited
+    one by one.
+    """
+    kept = np.flatnonzero(image >= 0)
+    # The pooled order; restricted to one image it is that image's visiting
+    # order, and matching in one image does not depend on the others.
+    order = kept[np.lexsort((image[kept], det_id[kept], class_id[kept], -score[kept]))]
+    image = image[order]
+    first = truth.start[image]
+    count = truth.start[image + 1] - first
+    pair_det = np.repeat(np.arange(len(order)), count)
+    pair_gt = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    value = box_iou(boxes[order][pair_det], truth.boxes[pair_gt])
+    hit = value > iou_threshold
+    pair_det, pair_gt, value = pair_det[hit], pair_gt[hit], value[hit]
+
+    label = np.full(len(order), 1)  # FP
+    label[pair_det[truth.ignore[pair_gt]]] = 2  # IGNORED
+    claims = ~truth.ignore[pair_gt] & (truth.class_id[pair_gt] == class_id[order][pair_det])
+    pair_det, pair_gt, value = pair_det[claims], pair_gt[claims], value[claims]
+    ranked = np.lexsort((pair_gt, -value, pair_det))
+    matched = set()
+    last = -1
+    for k, g in zip(pair_det[ranked].tolist(), pair_gt[ranked].tolist()):
+        if k != last and g not in matched:
+            matched.add(g)
+            label[k] = 0  # TP
+            last = k
+    return MatchResult(
+        score=score[order],
+        class_id=class_id[order],
+        label=LABELS[label],
+        det_id=det_id[order],
+        image_id=truth.image_ids[image],
+        num_gt=dict(truth.num_gt),
+        num_images=len(truth.image_ids),
+    )
+
+
+def _match_detections(
+    dets: Sequence[Detection], truth: TruthColumns, image: np.ndarray, iou_threshold: float
+) -> MatchResult:
+    return match_columns(
+        truth,
+        image,
+        box_array(d.box for d in dets),
+        np.array([d.score for d in dets], dtype=float),
+        np.array([d.class_id for d in dets], dtype=np.int64),
+        np.array([d.det_id for d in dets], dtype=np.int64),
+        iou_threshold,
+    )
 
 
 def match(
@@ -57,49 +192,11 @@ def match(
     gts: Sequence[GroundTruth],
     iou_threshold: float = 0.5,
 ) -> MatchResult:
-    """Greedy matching of one image's detections against its ground truths.
-
-    Detections are visited in score order; each takes the highest-IoU
-    unmatched non-ignored ground truth of its class above the threshold.
-    A detection that cannot claim a real ground truth but overlaps an
-    ignore-flagged one above threshold is labeled IGNORED, otherwise FP.
-    """
-    ordered = sorted(dets, key=lambda d: d.sort_key)
-    real = [(j, g) for j, g in enumerate(gts) if not g.ignore]
-    ignored = [g for g in gts if g.ignore]
-    matched = [False] * len(gts)
-
-    labeled = []
-    for d in ordered:
-        best_iou = iou_threshold
-        best_j = -1
-        for j, g in real:
-            if matched[j] or g.class_id != d.class_id:
-                continue
-            v = iou(d.box, g.box)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_j >= 0:
-            matched[best_j] = True
-            label = TP
-        elif any(iou(d.box, g.box) > iou_threshold for g in ignored):
-            label = IGNORED
-        else:
-            label = FP
-        labeled.append(
-            MatchedDetection(
-                score=d.score,
-                class_id=d.class_id,
-                label=label,
-                det_id=d.det_id,
-                image_id=d.image_id,
-            )
-        )
-
-    num_gt: Dict[int, int] = {}
-    for _, g in real:
-        num_gt[g.class_id] = num_gt.get(g.class_id, 0) + 1
-    return MatchResult(detections=labeled, num_gt=num_gt, num_images=1)
+    """Greedy matching of one image's detections against its ground truths
+    (see ``match_columns``)."""
+    image_id = dets[0].image_id if dets else gts[0].image_id if gts else ""
+    truth = TruthColumns([replace(g, image_id=image_id) for g in gts], [image_id])
+    return _match_detections(dets, truth, np.zeros(len(dets), dtype=np.int64), iou_threshold)
 
 
 def match_all(
@@ -109,36 +206,20 @@ def match_all(
     image_ids: Optional[Sequence[str]] = None,
 ) -> MatchResult:
     """Match per image and pool; image_ids fixes the image universe."""
-    by_image_d: Dict[str, List[Detection]] = {}
-    by_image_g: Dict[str, List[GroundTruth]] = {}
-    for d in dets:
-        by_image_d.setdefault(d.image_id, []).append(d)
-    for g in gts:
-        by_image_g.setdefault(g.image_id, []).append(g)
     if image_ids is None:
-        image_ids = sorted(set(by_image_d) | set(by_image_g))
-
-    result = MatchResult(num_images=0)
-    for image_id in image_ids:
-        per_image = match(
-            by_image_d.get(image_id, []),
-            by_image_g.get(image_id, []),
-            iou_threshold,
-        )
-        result.merge(per_image)
-    # one stable sort: ties keep image order, as per-image merging did
-    result.detections.sort(key=lambda d: (-d.score, d.class_id, d.det_id))
-    result.num_images = len(image_ids)
-    return result
+        image_ids = sorted({d.image_id for d in dets} | {g.image_id for g in gts})
+    truth = TruthColumns(gts, image_ids)
+    image = truth.positions([d.image_id for d in dets])
+    return _match_detections(dets, truth, image, iou_threshold)
 
 
 def _pr_points(result: MatchResult, class_id: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    dets = [d for d in result.detections if d.class_id == class_id and d.label != IGNORED]
+    labels = result.label[(result.class_id == class_id) & (result.label != IGNORED)]
     npos = result.num_gt.get(class_id, 0)
-    tp = np.cumsum([1.0 if d.label == TP else 0.0 for d in dets])
-    fp = np.cumsum([1.0 if d.label == FP else 0.0 for d in dets])
-    if len(dets) == 0:
+    if len(labels) == 0:
         return np.array([]), np.array([]), npos
+    tp = np.cumsum(labels == TP, dtype=float)
+    fp = np.cumsum(labels == FP, dtype=float)
     recall = tp / npos if npos > 0 else np.zeros_like(tp)
     precision = tp / np.maximum(tp + fp, 1e-12)
     return recall, precision, npos
@@ -167,15 +248,16 @@ def average_precision(result: MatchResult, class_id: int) -> Optional[float]:
 
 def _miss_fppi_curve(result: MatchResult, image_count: int) -> Tuple[np.ndarray, np.ndarray]:
     """Curve points at each distinct score threshold, strictest first."""
-    dets = [d for d in result.detections if d.label != IGNORED]
+    counted = result.label != IGNORED
     total_gt = sum(result.num_gt.values())
     if total_gt == 0:
         raise ValueError("miss-rate curve requires at least one non-ignored ground truth")
-    if not dets:
+    if not counted.any():
         return np.array([]), np.array([])
-    scores = np.array([d.score for d in dets])
-    tp = np.cumsum([1.0 if d.label == TP else 0.0 for d in dets])
-    fp = np.cumsum([1.0 if d.label == FP else 0.0 for d in dets])
+    scores = result.score[counted]
+    labels = result.label[counted]
+    tp = np.cumsum(labels == TP, dtype=float)
+    fp = np.cumsum(labels == FP, dtype=float)
     # Collapse tied scores onto one threshold (the last index of each block).
     last_of_block = np.where(np.diff(scores) != 0)[0]
     idx = np.concatenate((last_of_block, [len(scores) - 1]))
@@ -296,15 +378,14 @@ def _subset_report(result: MatchResult, num_classes: int) -> SubsetReport:
     else:
         lamr_value = None
         miss_curve = ([], [])
-    labels = [d.label for d in result.detections]
     return SubsetReport(
         num_images=result.num_images,
         num_gt=result.num_gt,
         ap=ap,
         mean_ap=mean_ap,
         lamr=lamr_value,
-        tp=labels.count(TP),
-        fp=labels.count(FP),
+        tp=int(np.count_nonzero(result.label == TP)),
+        fp=int(np.count_nonzero(result.label == FP)),
         pr_curves=pr_curves,
         miss_curve=miss_curve,
     )
@@ -337,15 +418,14 @@ def breakdown(
     )
     result = match_all(dets, gts, iou_threshold, image_ids=all_ids)
     subsets: Dict[str, Optional[SubsetReport]] = {"all": _subset_report(result, num_classes)}
+    row_tags = np.array([tags.get(image_id) for image_id in result.image_id], dtype=object)
     for tag in sorted(set(tags.values())):
         num_gt: Dict[int, int] = {}
         for g in gts:
             if not g.ignore and tags.get(g.image_id) == tag:
                 num_gt[g.class_id] = num_gt.get(g.class_id, 0) + 1
-        subset = MatchResult(
-            detections=[m for m in result.detections if tags.get(m.image_id) == tag],
-            num_gt=num_gt,
-            num_images=sum(1 for t in tags.values() if t == tag),
+        subset = result.rows(
+            row_tags == tag, num_gt, sum(1 for t in tags.values() if t == tag)
         )
         subsets[tag] = _subset_report(subset, num_classes)
     return EvalReport(subsets=subsets, num_classes=num_classes, class_names=class_names)

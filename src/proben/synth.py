@@ -123,9 +123,9 @@ def generate(spec: ScenarioSpec) -> SyntheticDataset:
     modalities = sorted(spec.profiles)
 
     ground_truths: List[GroundTruth] = []
-    detections: Dict[str, List[Detection]] = {m: [] for m in modalities}
+    # per modality: (image_id, box, scores, variance) of each detection
+    fired: Dict[str, List[tuple]] = {m: [] for m in modalities}
     tags: Dict[str, str] = {}
-    det_counters = {m: 0 for m in modalities}
 
     for i in range(spec.image_count):
         image_id = f"img{i:05d}"
@@ -149,32 +149,27 @@ def generate(spec: ScenarioSpec) -> SyntheticDataset:
             for gt in objects:
                 if rng.random() >= profile.recall:
                     continue
-                detections[modality].append(
-                    Detection(
-                        image_id=image_id,
-                        modality=modality,
-                        box=_perturbed_box(rng, gt.box, profile.loc_noise),
-                        scores=_scores(
-                            rng, spec.num_classes, gt.class_id, profile.tp_concentration
-                        ),
-                        box_variance=_reported_variance(rng, profile),
-                        det_id=det_counters[modality],
-                    )
-                )
-                det_counters[modality] += 1
+                box = _perturbed_box(rng, gt.box, profile.loc_noise)
+                scores = _scores(rng, spec.num_classes, gt.class_id, profile.tp_concentration)
+                fired[modality].append((image_id, box, scores, _reported_variance(rng, profile)))
             for _ in range(rng.poisson(profile.fp_rate)):
                 fp_class = int(rng.integers(1, spec.num_classes + 1))
-                detections[modality].append(
-                    Detection(
-                        image_id=image_id,
-                        modality=modality,
-                        box=_random_box(rng, spec.image_size),
-                        scores=_scores(rng, spec.num_classes, fp_class, profile.fp_concentration),
-                        box_variance=_reported_variance(rng, profile),
-                        det_id=det_counters[modality],
-                    )
-                )
-                det_counters[modality] += 1
+                box = _random_box(rng, spec.image_size)
+                scores = _scores(rng, spec.num_classes, fp_class, profile.fp_concentration)
+                fired[modality].append((image_id, box, scores, _reported_variance(rng, profile)))
+
+    # det_ids are unique across modalities and numbered modality by modality,
+    # as the CLI numbers the files written here when it reads them in order
+    detections: Dict[str, List[Detection]] = {}
+    next_id = 0
+    for modality in modalities:
+        detections[modality] = [
+            Detection(image_id, modality, box, scores, variance, det_id)
+            for det_id, (image_id, box, scores, variance) in enumerate(
+                fired[modality], start=next_id
+            )
+        ]
+        next_id += len(fired[modality])
 
     return SyntheticDataset(
         ground_truths=ground_truths,

@@ -300,6 +300,25 @@ class TestExitCodes:
         assert main(["fuse", str(bad), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "first, second, line",
+        [
+            ({}, {"box_variance": [1]}, 2),
+            ({}, {"box_variance": {"v": 1}}, 2),
+            ({"logits": [1.0]}, {"logits": [1.0]}, 1),
+        ],
+        ids=["list-variance", "object-variance", "one-entry-logits"],
+    )
+    def test_malformed_field_returns_2_with_line(
+        self, gt_file, tmp_path, capsys, first, second, line
+    ):
+        record = {"image_id": "i", "modality": "rgb", "bbox": [0, 0, 10, 20], "logits": [0, 1]}
+        bad = tmp_path / "bad.jsonl"
+        write_jsonl(bad, [dict(record, **first), dict(record, **second)])
+        argv = ["eval", str(bad), str(gt_file), "--out-prefix", str(tmp_path / "e")]
+        assert main(argv) == 2
+        assert f"{bad}:{line}:" in capsys.readouterr().err
+
     def test_bad_prior_returns_3(self, fig3_inputs, tmp_path):
         rgb, thermal = fig3_inputs
         out = tmp_path / "out.jsonl"

@@ -9,9 +9,16 @@ from proben import (
     ConfigurationError,
     Detection,
     FusionConfig,
+    LinearFusionWeights,
     MissingVarianceError,
+    calibrate_scores,
+    convex_combination,
     fuse,
     fuse_all,
+    fuse_avg_logits,
+    fuse_avg_posteriors,
+    fuse_linear,
+    fuse_proben,
     iou,
     pool,
 )
@@ -235,3 +242,159 @@ class TestFuseAll:
         out = fuse_all([[d1, d2], [d3]], FusionConfig(score_fusion="proben"))
         assert len(out) == 2
         assert {d.image_id for d in out} == {"a", "b"}
+
+
+def reference_fuse_all(detection_sets, config):
+    """Per image and per cluster, one detection at a time: greedy clustering
+    by explicit IoU, the score rule on the cluster's own members, the box by
+    convex_combination (math.fsum sums) and the variance by Python's sum."""
+    dets = [d for ds in detection_sets for d in ds]
+    calibrated = []
+    for d in dets:
+        params = config.calibration.get(d.modality)
+        scores = d.scores if params is None else calibrate_scores(d.scores, params)
+        calibrated.append(d if scores is d.scores else d.with_scores(scores))
+    prior = config.prior or ClassPrior.uniform(dets[0].scores.num_foreground)
+    out = []
+    for image_id in sorted({d.image_id for d in dets}):
+        alive = sorted((d for d in calibrated if d.image_id == image_id), key=lambda d: d.sort_key)
+        emitted = []
+        while alive:
+            seed = alive[0]
+            overlap = [seed] + [
+                d
+                for d in alive[1:]
+                if d.class_id == seed.class_id and iou(seed.box, d.box) > config.iou_threshold
+            ]
+            alive = [d for d in alive if not any(d is o for o in overlap)]
+            if config.score_fusion == "max":
+                emitted.append(seed)
+                continue
+            members = [
+                d for i, d in enumerate(overlap)
+                if all(o.modality != d.modality for o in overlap[:i])
+            ]
+            member_scores = [d.scores for d in members]
+            if config.score_fusion == "proben":
+                fused = fuse_proben(member_scores, prior, len(members))
+            elif config.score_fusion == "avg-logits":
+                fused = fuse_avg_logits(member_scores)
+            elif config.score_fusion == "avg-posteriors":
+                fused = fuse_avg_posteriors(member_scores)
+            else:
+                fused = fuse_linear({d.modality: d.scores for d in members}, config.weights)
+            if config.box_fusion == "argmax":
+                box = members[0].box
+            else:
+                if config.box_fusion == "avg":
+                    weights = [1.0] * len(members)
+                elif config.box_fusion == "s-avg":
+                    k = fused.argmax_foreground()
+                    weights = [float(d.scores.posteriors[k]) for d in members]
+                else:
+                    missing = [d for d in members if d.box_variance is None]
+                    if missing:
+                        raise MissingVarianceError(
+                            f"detection {missing[0].det_id} carries no box_variance "
+                            "(v-avg box fusion)"
+                        )
+                    weights = [1.0 / d.box_variance for d in members]
+                box = convex_combination([d.box for d in members], weights)
+            variances = [d.box_variance for d in members]
+            variance = None if None in variances else 1.0 / sum(1.0 / v for v in variances)
+            modality = "+".join(sorted(d.modality for d in members))
+            emitted.append(Detection(image_id, modality, box, fused, variance, seed.det_id))
+        out.extend(sorted(emitted, key=lambda d: d.sort_key))
+    return out
+
+
+def crowded_sets(seed, modalities=("a", "b", "c", "d"), num_classes=2, missing_variance=False):
+    """Detections of four modalities around a few objects per image, so that
+    clusters of one to four members form; some scores tie."""
+    rng = np.random.default_rng(seed)
+    sets = {m: [] for m in modalities}
+    det_id = 0
+    for image in range(6):
+        for _ in range(int(rng.integers(1, 4))):
+            x, y = rng.uniform(0, 200, size=2)
+            cls = int(rng.integers(1, num_classes + 1))
+            for m in modalities:
+                if rng.random() < 0.25:
+                    continue
+                logits = rng.normal(0, 1, num_classes + 1)
+                logits[cls] += 2.0
+                if rng.random() < 0.2:
+                    logits = np.round(logits)  # tied scores across modalities
+                box = BBox(x + rng.normal(0, 2), y + rng.normal(0, 2),
+                           30 + rng.normal(0, 2), 60 + rng.normal(0, 2))
+                variance = None if missing_variance and rng.random() < 0.1 else float(
+                    rng.uniform(0.5, 20.0))
+                sets[m].append(Detection(f"im{image}", m, box, ClassScores.from_logits(logits),
+                                         variance, det_id))
+                det_id += 1
+    return [sets[m] for m in modalities]
+
+
+def same_bits(a, b):
+    assert (a.image_id, a.modality, a.det_id) == (b.image_id, b.modality, b.det_id)
+    assert np.array(a.box.as_list(), float).tobytes() == np.array(b.box.as_list(), float).tobytes()
+    assert a.scores.logits.tobytes() == b.scores.logits.tobytes()
+    assert a.scores.posteriors.tobytes() == b.scores.posteriors.tobytes()
+    assert repr(a.box_variance) == repr(b.box_variance)
+
+
+class TestColumnFusion:
+    """fuse_all (fusion core over columns, segmented box averages) equals a
+    per-cluster reference bit for bit, with clusters of one to four members."""
+
+    @pytest.mark.parametrize("box_fusion", ["argmax", "avg", "s-avg", "v-avg"])
+    @pytest.mark.parametrize(
+        "score_fusion", ["max", "avg-posteriors", "avg-logits", "proben", "linear"]
+    )
+    def test_equals_per_cluster_reference(self, score_fusion, box_fusion):
+        weights = LinearFusionWeights(
+            {"a": [0.5, 0.7, 0.9], "b": [0.9, 1.1, 1.2], "c": [1.2, 0.8, 1.0], "d": [1, 1, 1]}
+        )
+        sizes = set()
+        for seed in range(6):
+            sets = crowded_sets(seed)
+            config = FusionConfig(
+                iou_threshold=(0.3, 0.5)[seed % 2],
+                score_fusion=score_fusion,
+                box_fusion=box_fusion,
+                weights=weights,
+                calibration={"b": CalibrationParams(temperature=1.7, shift=-0.3)},
+            )
+            got = fuse_all(sets, config)
+            want = reference_fuse_all(sets, config)
+            assert len(got) == len(want), seed
+            for a, b in zip(got, want):
+                same_bits(a, b)
+            sizes |= {d.modality.count("+") + 1 for d in want}
+        if score_fusion != "max":
+            assert sizes == {1, 2, 3, 4}
+
+    def test_tied_fused_scores_sort_by_det_id(self):
+        # Both clusters average to posteriors [0.25, 0.75]; the one with the
+        # weaker seed has the lower det_id and comes first.
+        def member(modality, x, p, det_id):
+            return det("i", modality, BBox(x, 0, 10, 10), p, det_id)
+
+        rgb = [member("rgb", 0, 0.875, 5), member("rgb", 50, 0.8125, 1)]
+        thermal = [member("thermal", 0, 0.625, 6), member("thermal", 50, 0.6875, 2)]
+        config = FusionConfig(score_fusion="avg-posteriors", box_fusion="argmax")
+        got = fuse_all([rgb, thermal], config)
+        assert got[0].score == got[1].score
+        assert [d.det_id for d in got] == [1, 5]
+        for a, b in zip(got, reference_fuse_all([rgb, thermal], config)):
+            same_bits(a, b)
+
+    def test_missing_variance_named_in_emission_order(self):
+        for seed in range(20):
+            sets = crowded_sets(seed, missing_variance=True)
+            config = FusionConfig(score_fusion="proben", box_fusion="v-avg")
+            with pytest.raises(MissingVarianceError) as want:
+                reference_fuse_all(sets, config)
+            with pytest.raises(MissingVarianceError) as got:
+                fuse_all(sets, config)
+            assert str(got.value) == str(want.value)

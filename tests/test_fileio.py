@@ -130,6 +130,33 @@ class TestDetectionParsing:
         with pytest.raises(ParseError, match=":2:"):
             read_detections(path)
 
+    @pytest.mark.parametrize(
+        "variance", ["[1]", '{"v": 1}', "1" + "0" * 400], ids=["list", "object", "huge-int"]
+    )
+    def test_non_number_box_variance_rejected_with_line(self, tmp_path, variance):
+        path = self.write_lines(
+            tmp_path,
+            [
+                '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [0, 1]}',
+                '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [0, 1], '
+                f'"box_variance": {variance}}}',
+            ],
+        )
+        with pytest.raises(ParseError, match=":2:"):
+            read_detections(path)
+
+    @pytest.mark.parametrize("kind", ["logits", "posteriors"])
+    def test_one_entry_score_row_rejected_with_line(self, tmp_path, kind):
+        path = self.write_lines(
+            tmp_path,
+            [
+                f'{{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "{kind}": [1.0]}}',
+                f'{{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "{kind}": [1.0]}}',
+            ],
+        )
+        with pytest.raises(ParseError, match=f":1: invalid {kind}: score vector has no foreground"):
+            read_detections(path)
+
     def test_missing_modality_rejected(self, tmp_path):
         path = self.write_lines(
             tmp_path, ['{"image_id": "a", "bbox": [0, 0, 5, 5], "logits": [0, 1]}']
@@ -256,12 +283,21 @@ class TestStackedIngest:
                 ],
                 ":2: invalid logits: softmax requires finite entries",
             ),
+            (
+                [
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [0, 1]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [NaN, 1]}',
+                    '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [1.0]}',
+                ],
+                ":2: invalid logits: softmax requires finite entries",
+            ),
         ],
         ids=[
             "nan-before-class-count",
             "range-before-bbox",
             "posteriors-before-logits",
             "nan-and-class-count-on-one-line",
+            "nan-before-one-entry-row",
         ],
     )
     def test_first_bad_line_reported(self, tmp_path, lines, message):

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proben import BBox, DegenerateWeightsError, convex_combination, iou
+from proben.geometry import box_iou
 
 
 def rasterized_iou(a: BBox, b: BBox, scale: int = 1) -> float:
@@ -123,3 +125,52 @@ class TestConvexCombination:
         for attr in ("x", "y", "w", "h"):
             values = [getattr(b, attr) for b in bs]
             assert min(values) - 1e-9 <= getattr(out, attr) <= max(values) + 1e-9
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes that are identical, touch along an edge, nest, differ by a
+    fraction of a pixel, or are drawn independently."""
+    a = draw(boxes)
+    kind = draw(st.sampled_from(["identical", "touching", "nested", "subpixel", "free"]))
+    if kind == "identical":
+        return a, BBox(a.x, a.y, a.w, a.h)
+    if kind == "touching":
+        return a, BBox(a.x2, a.y + draw(st.floats(-a.h, a.h)), draw(extent), draw(extent))
+    if kind == "nested":
+        fx, fy, fw, fh = (draw(st.floats(0.0, 0.5)) for _ in range(4))
+        inner = BBox(a.x + fx * a.w, a.y + fy * a.h, max(fw, 0.01) * a.w, max(fh, 0.01) * a.h)
+        return (a, inner) if draw(st.booleans()) else (inner, a)
+    if kind == "subpixel":
+        nudge = st.floats(-1e-6, 1e-6)
+        return a, BBox(a.x + draw(nudge), a.y + draw(nudge), a.w + draw(nudge), a.h + draw(nudge))
+    return a, draw(boxes)
+
+
+def as_rows(bs):
+    return np.array([b.as_list() for b in bs], dtype=float).reshape(-1, 4)
+
+
+class TestBoxIou:
+    """box_iou must equal iou bit for bit: matching and clustering compare
+    its values against thresholds with the same strict inequalities."""
+
+    @settings(deadline=None)
+    @given(st.lists(box_pairs(), min_size=1, max_size=12))
+    # identical boxes whose ratio rounds to 0.9999999999999998
+    @example([(BBox(2.482, 2.253, 3.261, 3.946), BBox(2.482, 2.253, 3.261, 3.946))])
+    @example([(BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)), (BBox(0, 0, 10, 10), BBox(0, 10, 5, 5))])
+    # boxes one ulp apart whose ratio rounds to 1.0000000000000002 before the clamp
+    @example([(BBox(1.3, 1.18, 4.98, 2.36), BBox(1.3000000000000003, 1.18, 4.98, 2.36))])
+    def test_pairwise_equals_iou(self, pairs):
+        a, b = zip(*pairs)
+        want = np.array([iou(x, y) for x, y in pairs], dtype=float)
+        assert box_iou(as_rows(a), as_rows(b)).tobytes() == want.tobytes()
+
+    @settings(deadline=None)
+    @given(st.lists(box_pairs(), min_size=1, max_size=6))
+    def test_matrix_equals_iou(self, pairs):
+        bs = [b for pair in pairs for b in pair]
+        want = np.array([[iou(x, y) for y in bs] for x in bs], dtype=float)
+        rows = as_rows(bs)
+        assert box_iou(rows[:, None, :], rows[None, :, :]).tobytes() == want.tobytes()

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proben import (
     BBox,
@@ -11,6 +12,7 @@ from proben import (
     GroundTruth,
     average_precision,
     breakdown,
+    iou,
     lamr,
     match,
     match_all,
@@ -409,3 +411,107 @@ class TestBreakdownMatchesOnce:
         )
         breakdown(dets, gts, tags, num_classes=3)
         assert len(calls) == 1
+
+
+def brute_force_match(dets, gts, iou_threshold, image_ids):
+    """Per image in image_ids order: visit the image's detections in
+    sort-key order and let each claim the best unmatched real ground truth of
+    its class, one pair at a time; then pool with a stable sort. Returns the
+    pooled rows and the GT counts."""
+    rows, num_gt = [], {}
+    for image_id in image_ids:
+        image_gts = [g for g in gts if g.image_id == image_id]
+        matched = set()
+        for d in sorted((d for d in dets if d.image_id == image_id), key=lambda d: d.sort_key):
+            best, best_j = iou_threshold, -1
+            for j, g in enumerate(image_gts):
+                if g.ignore or j in matched or g.class_id != d.class_id:
+                    continue
+                value = iou(d.box, g.box)
+                if value > best:
+                    best, best_j = value, j
+            if best_j >= 0:
+                matched.add(best_j)
+                label = TP
+            elif any(g.ignore and iou(d.box, g.box) > iou_threshold for g in image_gts):
+                label = IGNORED
+            else:
+                label = FP
+            rows.append((d.score, d.class_id, label, d.det_id, image_id))
+        for g in image_gts:
+            if not g.ignore:
+                num_gt[g.class_id] = num_gt.get(g.class_id, 0) + 1
+    rows.sort(key=lambda r: (-r[0], r[1], r[3]))
+    return rows, num_gt
+
+
+IMAGES = ["a", "b", "c"]
+# few distinct positions, scores and det_ids, so overlaps and ties are common
+grid_box = st.builds(
+    lambda col, dx, dy: BBox(40.0 * col + dx, dy, 10, 20),
+    st.integers(0, 2),
+    st.sampled_from([0.0, 0.5, 1.5, 3.0, 6.0]),
+    st.sampled_from([0.0, 2.0, 5.0]),
+)
+
+
+def three_class_det(image_id, box, class_id, p, det_id):
+    posteriors = np.full(4, 0.05)
+    posteriors[class_id] = p
+    posteriors[0] = 1.0 - p - 0.1
+    return det(image_id, box, None, det_id, posteriors=posteriors)
+
+
+class TestColumnMatcher:
+    """match_all and match (one vectorised IoU pass, then the greedy claims)
+    must equal the per-image, pair-by-pair greedy matcher."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dets=st.lists(
+            st.builds(
+                three_class_det,
+                st.sampled_from(IMAGES + ["outside"]),  # "outside" is not evaluated
+                grid_box,
+                st.integers(1, 3),
+                st.sampled_from([0.5, 0.6, 0.7]),
+                st.integers(0, 3),
+            ),
+            max_size=25,
+        ),
+        gts=st.lists(
+            st.builds(gt, st.sampled_from(IMAGES + ["outside"]), grid_box, st.integers(1, 3),
+                      st.booleans()),
+            max_size=12,
+        ),
+        image_ids=st.permutations(IMAGES),
+        iou_threshold=st.sampled_from([0.3, 0.5, 0.7]),
+    )
+    # The first detection overlaps both ground truths equally and must claim
+    # the earlier one, leaving the later one to the second detection.
+    @example(
+        dets=[
+            three_class_det("a", BBox(3, 0, 10, 20), 1, 0.7, 0),
+            three_class_det("a", BBox(6, 0, 10, 20), 1, 0.6, 1),
+        ],
+        gts=[gt("a", BBox(0, 0, 10, 20)), gt("a", BBox(6, 0, 10, 20))],
+        image_ids=IMAGES,
+        iou_threshold=0.3,
+    )
+    def test_equals_brute_force(self, dets, gts, image_ids, iou_threshold):
+        result = match_all(dets, gts, iou_threshold, image_ids=image_ids)
+        rows, num_gt = brute_force_match(dets, gts, iou_threshold, image_ids)
+        got = [(m.score, m.class_id, m.label, m.det_id, m.image_id) for m in result.detections]
+        assert got == rows
+        assert result.num_gt == num_gt
+        assert result.num_images == len(image_ids)
+
+        one = match(
+            [d for d in dets if d.image_id == "a"],
+            [g for g in gts if g.image_id == "a"],
+            iou_threshold,
+        )
+        rows, num_gt = brute_force_match(dets, gts, iou_threshold, ["a"])
+        got = [(m.score, m.class_id, m.label, m.det_id, m.image_id) for m in one.detections]
+        assert got == rows
+        assert (one.num_gt, one.num_images) == (num_gt, 1)

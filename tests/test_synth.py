@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from proben import ConfigurationError, ModalityProfile, ScenarioSpec, generate, kaist_like_spec
+from proben.cli import _read_detection_sets
+from proben.fileio import write_detections
 
 
 def perfect_profile():
@@ -139,3 +141,17 @@ class TestGenerate:
         dataset = generate(spec)
         assert len(dataset.tags) == 50
         assert set(dataset.tags.values()) <= {"day", "night"}
+
+    def test_det_ids_unique_across_modalities_as_the_cli_reads_them(self, tmp_path):
+        # The CLI numbers detections file by file in the order it reads them;
+        # generate numbers them the same way, modality by modality.
+        dataset = generate(kaist_like_spec(seed=4, image_count=40))
+        paths = []
+        for modality in sorted(dataset.detections):
+            paths.append(str(tmp_path / f"det_{modality}.jsonl"))
+            write_detections(paths[-1], dataset.detections[modality])
+        read = [d.det_id for dets in _read_detection_sets(paths, {}) for d in dets]
+        generated = [
+            d.det_id for m in sorted(dataset.detections) for d in dataset.detections[m]
+        ]
+        assert generated == read == list(range(len(read)))
