@@ -20,14 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .detections import ClassScores, Detection
+from .detections import ClassScores, Detection, DetectionColumns
 from .errors import (
     ConfigurationError,
     DegenerateWeightsError,
     EmptyClusterError,
     MissingVarianceError,
 )
-from .geometry import BBox, box_array, convex_combination
+from .geometry import BBox, convex_combination
 
 BOX_FUSION_MODES = ("argmax", "avg", "s-avg", "v-avg")
 
@@ -99,13 +99,6 @@ def fused_variance(variances: np.ndarray) -> np.ndarray:
     return 1.0 / total
 
 
-def box_variances(detections: Sequence[Detection]) -> np.ndarray:
-    """The detections' box variances, NaN for none."""
-    return np.array(
-        [np.nan if d.box_variance is None else d.box_variance for d in detections], dtype=float
-    )
-
-
 def fuse_boxes(
     members: Sequence[Detection],
     fused_scores: ClassScores,
@@ -116,14 +109,11 @@ def fuse_boxes(
     if mode == "argmax":
         return min(members, key=lambda d: d.sort_key).box
     k = fused_scores.argmax_foreground() if mode == "s-avg" else 0
+    columns = DetectionColumns.of(members)
     weights = member_weights(
-        mode,
-        [d.scores.posteriors[k] for d in members],
-        box_variances(members),
-        [d.det_id for d in members],
+        mode, columns.scores.posteriors[:, k], columns.variances, columns.det_id
     )
-    boxes = box_array(d.box for d in members)[None]
-    return BBox(*weighted_average(boxes, weights[None, :])[0].tolist())
+    return BBox(*weighted_average(columns.boxes[None], weights[None, :])[0].tolist())
 
 
 def fused_box_variance(members: Sequence[Detection]) -> float | None:
@@ -131,5 +121,5 @@ def fused_box_variance(members: Sequence[Detection]) -> float | None:
 
     Returns None unless every member reports a variance.
     """
-    value = float(fused_variance(box_variances(members)[None, :])[0])
+    value = float(fused_variance(DetectionColumns.of(members).variances[None, :])[0])
     return None if np.isnan(value) else value

@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .detections import Detection, GroundTruth
+from .detections import GroundTruthColumns
 from .errors import ConfigurationError
 from .score_fusion import CalibrationParams
 
@@ -82,8 +82,8 @@ def _objective_value(
 
 
 def grid_search(
-    detection_sets: Sequence[Sequence[Detection]],
-    gts: Sequence[GroundTruth],
+    detection_sets: Sequence,
+    gts,
     modality: str,
     t_grid: GridSpec,
     b_grid: GridSpec,
@@ -94,20 +94,18 @@ def grid_search(
 ) -> Tuple[CalibrationParams, List[Tuple[float, float, float]]]:
     """Evaluate fuse+eval at every (T, b) grid point; return the optimum.
 
-    The detections are batched and the ground truths put in columns once;
+    Each detection set and gts are columns or object sequences. The
+    detections are batched and the ground truths grouped by image once;
     every grid point re-fuses that batch and matches the fused columns.
     LAMR is minimized, AP maximized. Ties break toward the point closest to
     (1, 0), then lexicographically by (T, b).
     """
     if any(t <= 0 for t in t_grid.values()):
         raise ConfigurationError("temperature grid must be strictly positive")
-    if not image_ids:
-        image_ids = sorted(
-            {g.image_id for g in gts}
-            | {d.image_id for dets in detection_sets for d in dets}
-        )
-
     batch = DetectionBatch(detection_sets)
+    gts = GroundTruthColumns.of(gts)
+    if not image_ids:
+        image_ids = sorted(set(gts.image_id) | set(batch.image_ids))
     truth = TruthColumns(gts, image_ids)
     image = truth.positions(batch.image_ids)
     surface: List[Tuple[float, float, float]] = []

@@ -16,8 +16,10 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .calibrate import GridSpec, grid_search
-from .detections import ClassPrior, Detection, estimate_class_prior
-from .engine import FusionConfig, fuse_all, pool
+from .detections import ClassPrior, DetectionColumns, estimate_class_prior
+
+# fuse_all is not called here; perfbench/tracing.py wraps it under this name.
+from .engine import DetectionBatch, FusionConfig, fuse_all, fuse_detections, pool  # noqa: F401
 from .errors import ConfigurationError, FusionError, ParseError
 from .fileio import (
     read_detections,
@@ -78,8 +80,8 @@ def _load_weights(path) -> LinearFusionWeights:
     return LinearFusionWeights(weights={str(k): v for k, v in payload.items()})
 
 
-def _read_detection_sets(paths, overrides: Dict[str, str]) -> List[List[Detection]]:
-    sets: List[List[Detection]] = []
+def _read_detection_sets(paths, overrides: Dict[str, str]) -> List[DetectionColumns]:
+    sets: List[DetectionColumns] = []
     next_id = 0
     num_classes = None
     for path in paths:
@@ -89,8 +91,8 @@ def _read_detection_sets(paths, overrides: Dict[str, str]) -> List[List[Detectio
             num_classes=num_classes,
             start_det_id=next_id,
         )
-        if dets and num_classes is None:
-            num_classes = dets[0].scores.num_foreground
+        if len(dets) and num_classes is None:
+            num_classes = dets.scores.num_foreground
         next_id += len(dets)
         sets.append(dets)
     return sets
@@ -113,8 +115,8 @@ def cmd_fuse(args) -> int:
         _parse_assignment(raw, "--modality") for raw in (args.modality or [])
     )
     detection_sets = _read_detection_sets(args.inputs, overrides)
-    flat = [d for dets in detection_sets for d in dets]
-    num_classes = flat[0].scores.num_foreground if flat else 1
+    nonempty = [dets for dets in detection_sets if len(dets)]
+    num_classes = nonempty[0].scores.num_foreground if nonempty else 1
 
     gts = None
     if args.ground_truth:
@@ -124,9 +126,9 @@ def cmd_fuse(args) -> int:
         fused = pool(detection_sets)
     else:
         config = _build_config(args, gts, num_classes)
-        fused = fuse_all(detection_sets, config)
+        fused = fuse_detections(DetectionBatch(detection_sets), config)
     write_detections(args.out, fused)
-    images = len({d.image_id for d in fused})
+    images = len(set(fused.image_id))
     print(f"total: {len(fused)} detections over {images} images")
     return 0
 
@@ -134,7 +136,7 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     dets = read_detections(args.detections)
     gts, tags, num_classes, class_names, gt_images = read_ground_truth(args.ground_truth)
-    orphan = sorted({d.image_id for d in dets} - set(gt_images))
+    orphan = sorted(set(dets.image_id) - set(gt_images))
     if orphan:
         print(
             f"warning: {len(orphan)} image(s) carry detections but no ground-truth record",
@@ -168,15 +170,14 @@ def cmd_eval(args) -> int:
             if subset is None:
                 continue
             write_curves_csv(
-                f"{args.out_prefix}.{key}.miss_fppi.csv",
-                ("fppi", "miss_rate"),
-                zip(*subset.miss_curve) if subset.miss_curve[0] else [],
+                f"{args.out_prefix}.{key}.miss_fppi.csv", ("fppi", "miss_rate"), *subset.miss_curve
             )
             for cls, (recall, precision) in subset.pr_curves.items():
                 write_curves_csv(
                     f"{args.out_prefix}.{key}.class{cls}.pr.csv",
                     ("recall", "precision"),
-                    zip(recall, precision),
+                    recall,
+                    precision,
                 )
 
     overall = report.subsets["all"]
@@ -203,7 +204,7 @@ def cmd_calibrate(args) -> int:
     detection_sets = _read_detection_sets(args.inputs, overrides)
     gts, _, num_classes, _, gt_images = read_ground_truth(args.ground_truth)
     config = _build_config(args, gts, num_classes)
-    image_ids = sorted(set(gt_images) | {d.image_id for dets in detection_sets for d in dets})
+    image_ids = sorted(set(gt_images).union(*(dets.image_id for dets in detection_sets)))
 
     best, surface = grid_search(
         detection_sets,

@@ -11,12 +11,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidScoreError
-from .geometry import BBox
+from .errors import ConfigurationError, InvalidScoreError
+from .geometry import BBox, box_array, first_invalid_box
 
 POSTERIOR_EPS = 1e-7
 
@@ -111,6 +111,17 @@ class ClassScores:
             posteriors=_freeze([r.posteriors for r in rows]),
         )
 
+    def __eq__(self, other):
+        if not isinstance(other, ClassScores):
+            return NotImplemented
+        return np.array_equal(self.logits, other.logits) and np.array_equal(
+            self.posteriors, other.posteriors
+        )
+
+    def take(self, rows) -> "ClassScores":
+        """The stack of the given rows."""
+        return ClassScores(logits=self.logits[rows], posteriors=self.posteriors[rows])
+
     @property
     def num_foreground(self) -> int:
         return self.posteriors.shape[-1] - 1
@@ -198,6 +209,142 @@ class GroundTruth:
             raise ValueError(f"class_id must be a foreground class >= 1, got {self.class_id}")
 
 
+def _empty_scores() -> ClassScores:
+    """An empty stack of one-class rows."""
+    return ClassScores(logits=np.zeros((0, 2)), posteriors=np.zeros((0, 2)))
+
+
+@dataclass(frozen=True)
+class DetectionColumns:
+    """Detections as columns, one row per detection: what a list of
+    ``Detection`` holds, without an object per row.
+
+    Box variances are NaN where a detection reports none. Construction makes
+    the checks that ``Detection`` and ``BBox`` make, and raises their error
+    for the first row that fails.
+    """
+
+    image_id: List[str]
+    modality: List[str]
+    boxes: np.ndarray  # (N, 4) rows (x, y, w, h)
+    variances: np.ndarray  # (N,)
+    scores: ClassScores  # (N, K+1) stack
+    det_id: np.ndarray  # (N,) int64
+
+    def __post_init__(self):
+        v = self.variances
+        bad = first_invalid_box(self.boxes, (v <= 0) | np.isinf(v))
+        if bad >= 0:
+            BBox(*self.boxes[bad].tolist())
+            check_box_variance(float(v[bad]))
+
+    def __len__(self) -> int:
+        return len(self.det_id)
+
+    @classmethod
+    def of(cls, detections) -> "DetectionColumns":
+        """Columns as given, or the columns of a sequence of ``Detection``."""
+        if isinstance(detections, DetectionColumns):
+            return detections
+        return cls(
+            image_id=[d.image_id for d in detections],
+            modality=[d.modality for d in detections],
+            boxes=box_array(d.box for d in detections),
+            variances=np.array(
+                [np.nan if d.box_variance is None else d.box_variance for d in detections],
+                dtype=float,
+            ),
+            scores=ClassScores.stack([d.scores for d in detections])
+            if detections
+            else _empty_scores(),
+            det_id=np.array([d.det_id for d in detections], dtype=np.int64),
+        )
+
+    @classmethod
+    def concatenate(cls, sets: Sequence) -> "DetectionColumns":
+        """The rows of every set (columns or a ``Detection`` sequence), in
+        order; empty sets add nothing."""
+        sets = [s for s in map(cls.of, sets) if len(s)]
+        widths = sorted({s.scores.posteriors.shape[1] for s in sets})
+        if len(widths) > 1:
+            raise ConfigurationError(f"inconsistent class counts across inputs: {widths}")
+        if not sets:
+            return cls.of([])
+        if len(sets) == 1:
+            return sets[0]
+        return cls(
+            image_id=[i for s in sets for i in s.image_id],
+            modality=[m for s in sets for m in s.modality],
+            boxes=np.concatenate([s.boxes for s in sets]),
+            variances=np.concatenate([s.variances for s in sets]),
+            scores=ClassScores(
+                logits=np.concatenate([s.scores.logits for s in sets]),
+                posteriors=np.concatenate([s.scores.posteriors for s in sets]),
+            ),
+            det_id=np.concatenate([s.det_id for s in sets]),
+        )
+
+    def take(self, rows: np.ndarray) -> "DetectionColumns":
+        """The columns of the given rows, in that order."""
+        picked = rows.tolist()
+        return DetectionColumns(
+            image_id=[self.image_id[i] for i in picked],
+            modality=[self.modality[i] for i in picked],
+            boxes=self.boxes[rows],
+            variances=self.variances[rows],
+            scores=self.scores.take(rows),
+            det_id=self.det_id[rows],
+        )
+
+    def to_detections(self) -> List[Detection]:
+        """One ``Detection`` per row."""
+        return [
+            Detection(
+                image_id,
+                modality,
+                BBox(*box),
+                self.scores.row(i),
+                None if math.isnan(variance) else variance,
+                det_id,
+            )
+            for i, (image_id, modality, box, variance, det_id) in enumerate(
+                zip(
+                    self.image_id,
+                    self.modality,
+                    self.boxes.tolist(),
+                    self.variances.tolist(),
+                    self.det_id.tolist(),
+                )
+            )
+        ]
+
+
+@dataclass(frozen=True)
+class GroundTruthColumns:
+    """Ground truths as columns, one row per box: what a list of
+    ``GroundTruth`` holds, without an object per row."""
+
+    image_id: List[str]
+    boxes: np.ndarray  # (G, 4) rows (x, y, w, h)
+    class_id: np.ndarray  # (G,) int64, foreground classes >= 1
+    ignore: np.ndarray  # (G,) bool
+
+    def __len__(self) -> int:
+        return len(self.class_id)
+
+    @classmethod
+    def of(cls, gts) -> "GroundTruthColumns":
+        """Columns as given, or the columns of a sequence of ``GroundTruth``."""
+        if isinstance(gts, GroundTruthColumns):
+            return gts
+        return cls(
+            image_id=[g.image_id for g in gts],
+            boxes=box_array(g.box for g in gts),
+            class_id=np.array([g.class_id for g in gts], dtype=np.int64),
+            ignore=np.array([g.ignore for g in gts], dtype=bool),
+        )
+
+
 @dataclass(frozen=True)
 class ClassPrior:
     """Marginal class distribution over background + K foreground classes."""
@@ -223,27 +370,28 @@ class ClassPrior:
 
 
 def estimate_class_prior(
-    gts: Sequence[GroundTruth],
+    gts,
     background_prior: float,
     num_classes: Optional[int] = None,
 ) -> ClassPrior:
     """Foreground priors proportional to ground-truth counts, background fixed.
 
-    Classes with zero count receive a floor of 1e-6 before renormalization so
-    the prior stays strictly positive.
+    gts is ``GroundTruthColumns`` or a ``GroundTruth`` sequence. Classes with
+    zero count receive a floor of 1e-6 before renormalization so the prior
+    stays strictly positive.
     """
     if not 0.0 < background_prior < 1.0:
         raise ValueError(f"background_prior must lie in (0, 1), got {background_prior}")
-    counted = [g for g in gts if not g.ignore]
-    if not counted:
+    gts = GroundTruthColumns.of(gts)
+    counted = gts.class_id[~gts.ignore]
+    if not len(counted):
         raise ValueError("estimate_class_prior requires at least one non-ignored ground truth")
     if num_classes is None:
-        num_classes = max(g.class_id for g in counted)
-    counts = np.zeros(num_classes, dtype=float)
-    for g in counted:
-        if g.class_id > num_classes:
-            raise ValueError(f"ground-truth class {g.class_id} exceeds num_classes={num_classes}")
-        counts[g.class_id - 1] += 1.0
+        num_classes = int(counted.max())
+    over = counted[counted > num_classes]
+    if len(over):
+        raise ValueError(f"ground-truth class {over[0]} exceeds num_classes={num_classes}")
+    counts = np.bincount(counted - 1, minlength=num_classes).astype(float)
     counts = np.maximum(counts, 1e-6)
     foreground = counts / counts.sum() * (1.0 - background_prior)
     return ClassPrior(priors=np.concatenate(([background_prior], foreground)))

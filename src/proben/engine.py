@@ -10,9 +10,10 @@ A ``DetectionBatch`` holds what this needs that does not depend on scores:
 the grouping by image, the box and score columns and every same-image
 pairwise IoU. ``fuse_columns`` fuses a batch into columns (image, seed,
 modalities, boxes, variances, scores) without building a per-cluster
-object; ``fuse_all`` turns them into ``Detection`` objects. A calibration
-grid search builds the batch once and calls ``fuse_columns`` per grid point,
-so each point pays only for re-ranking, clustering, fusion and matching.
+object; ``fuse_detections`` turns them into ``DetectionColumns`` and
+``fuse_all`` into ``Detection`` objects. A calibration grid search builds
+the batch once and calls ``fuse_columns`` per grid point, so each point pays
+only for re-ranking, clustering, fusion and matching.
 
 Also hosts the no-suppression pooling baseline.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,15 +31,14 @@ import numpy as np
 # under these names.
 from .box_fusion import (  # noqa: F401
     BOX_FUSION_MODES,
-    box_variances,
     fuse_boxes,
     fused_variance,
     member_weights,
     weighted_average,
 )
-from .detections import ClassPrior, ClassScores, Detection
+from .detections import ClassPrior, ClassScores, Detection, DetectionColumns
 from .errors import ConfigurationError
-from .geometry import BBox, box_array, box_iou, iou  # noqa: F401
+from .geometry import box_iou, iou  # noqa: F401
 from .score_fusion import (
     CalibrationParams,
     LinearFusionWeights,
@@ -86,24 +86,22 @@ class DetectionBatch:
     boxes (N, 4), box variances (NaN for none) and all score rows stacked;
     also the rows of each modality and every same-image pair of overlapping
     boxes (rows i < j) with its IoU. None of it depends on scores, so one
-    batch serves every ``fuse_all`` call over the same detections, whatever
-    the calibration.
+    batch serves every ``fuse_columns`` call over the same detections,
+    whatever the calibration. Each set is ``DetectionColumns`` or a
+    ``Detection`` sequence.
     """
 
-    def __init__(self, detection_sets: Sequence[Sequence[Detection]]):
-        by_image: Dict[str, List[Detection]] = {}
-        for d in chain.from_iterable(detection_sets):
-            by_image.setdefault(d.image_id, []).append(d)
-        self.image_ids = sorted(by_image)
-        self.detections = [d for image_id in self.image_ids for d in by_image[image_id]]
-        widths = {len(d.scores.posteriors) for d in self.detections}
-        if len(widths) > 1:
-            raise ConfigurationError(f"inconsistent class counts across inputs: {sorted(widths)}")
+    def __init__(self, detection_sets: Sequence):
+        flat = DetectionColumns.concatenate(detection_sets)
+        self.image_ids = sorted(set(flat.image_id))
+        code = {image_id: k for k, image_id in enumerate(self.image_ids)}
+        image = np.fromiter(map(code.__getitem__, flat.image_id), np.int64, len(flat))
+        order = np.argsort(image, kind="stable")
+        columns = flat.take(order)
 
-        sizes = [len(by_image[image_id]) for image_id in self.image_ids]
-        self.image_index = np.repeat(np.arange(len(sizes)), sizes)
-        self.det_ids = np.array([d.det_id for d in self.detections], dtype=np.int64)
-        self.modalities = [d.modality for d in self.detections]
+        self.image_index = image[order]
+        self.det_ids = columns.det_id
+        self.modalities = columns.modality
         self.modality_names = sorted(set(self.modalities))
         code = {modality: k for k, modality in enumerate(self.modality_names)}
         self.modality_codes = np.array([code[m] for m in self.modalities], dtype=np.int64)
@@ -111,16 +109,14 @@ class DetectionBatch:
             modality: np.flatnonzero(self.modality_codes == code[modality])
             for modality in dict.fromkeys(self.modalities)
         }
-        self.boxes = box_array(d.box for d in self.detections)
-        self.variances = box_variances(self.detections)
-        if widths:
-            self.scores = ClassScores.stack([d.scores for d in self.detections])
-        else:  # an empty stack of one-class rows
-            self.scores = ClassScores(logits=np.zeros((0, 2)), posteriors=np.zeros((0, 2)))
+        self.boxes = columns.boxes
+        self.variances = columns.variances
+        self.scores = columns.scores
 
         # every same-image pair i < j: row i pairs with the `later` rows after
         # it up to the end of its image
-        rows = np.arange(len(self.detections))
+        sizes = np.bincount(self.image_index, minlength=len(self.image_ids))
+        rows = np.arange(len(order))
         later = np.repeat(np.cumsum(sizes, dtype=np.int64), sizes) - rows - 1
         first = np.repeat(rows, later)
         second = np.arange(later.sum()) - np.repeat(np.cumsum(later) - later - rows - 1, later)
@@ -143,9 +139,12 @@ class FusedColumns:
     scores: ClassScores  # (C, K+1) stack
 
 
-def pool(detection_sets: Sequence[Sequence[Detection]]) -> List[Detection]:
-    """Naive pooling baseline: concatenate and re-sort, no suppression."""
-    return sorted(chain.from_iterable(detection_sets), key=lambda d: d.sort_key)
+def pool(detection_sets: Sequence) -> DetectionColumns:
+    """Naive pooling baseline: concatenate and re-sort by the sort key, no
+    suppression; ties keep input order."""
+    flat = DetectionColumns.concatenate(detection_sets)
+    scores = flat.scores
+    return flat.take(np.lexsort((flat.det_id, scores.argmax_foreground(), -scores.score)))
 
 
 def _calibrated(batch: DetectionBatch, calibration: Mapping[str, CalibrationParams]):
@@ -156,7 +155,7 @@ def _calibrated(batch: DetectionBatch, calibration: Mapping[str, CalibrationPara
         rows = batch.rows.get(modality)
         if rows is None:
             continue
-        raw = ClassScores(logits=scores.logits[rows], posteriors=scores.posteriors[rows])
+        raw = scores.take(rows)
         calibrated = calibrate_scores(raw, params)
         if calibrated is not raw:
             changed[modality] = calibrated
@@ -217,10 +216,7 @@ def _fuse_scores(members: np.ndarray, scores: ClassScores, batch, config, prior)
     """Fuse the scores of same-size clusters in one score-rule call: members
     holds one cluster per row, and its column j is the j-th stacked input;
     one row out per cluster."""
-    stacked = [
-        ClassScores(logits=scores.logits[rows], posteriors=scores.posteriors[rows])
-        for rows in members.T
-    ]
+    stacked = [scores.take(rows) for rows in members.T]
     if config.score_fusion == "avg-posteriors":
         return fuse_avg_posteriors(stacked)
     if config.score_fusion == "avg-logits":
@@ -249,7 +245,7 @@ def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
     seed = flat[offsets]
 
     if config.score_fusion == "max":  # the seeds themselves
-        fused = ClassScores(logits=scores.logits[seed], posteriors=scores.posteriors[seed])
+        fused = scores.take(seed)
         modality = np.array(batch.modalities, dtype=object)[seed]
         return _sorted_columns(
             batch, seed, modality, batch.boxes[seed], batch.variances[seed], fused
@@ -318,61 +314,38 @@ def _sorted_columns(batch, seed, modality, boxes, variances, scores) -> FusedCol
         modality=modality[order],
         boxes=boxes[order],
         variances=variances[order],
-        scores=ClassScores(logits=scores.logits[order], posteriors=scores.posteriors[order]),
+        scores=scores.take(order),
     )
 
 
-def fuse_all(
-    detections: Union[DetectionBatch, Sequence[Sequence[Detection]]],
-    config: FusionConfig,
-) -> List[Detection]:
+def fuse_detections(batch: DetectionBatch, config: FusionConfig) -> DetectionColumns:
+    """Fuse every image of a batch into detection columns (see ``fuse_all``),
+    checked as building a ``Detection`` per row would check them."""
+    fused = fuse_columns(batch, config)
+    image_ids = [batch.image_ids[i] for i in fused.image.tolist()]
+    return DetectionColumns(
+        image_ids, fused.modality.tolist(), fused.boxes, fused.variances, fused.scores, fused.det_id
+    )
+
+
+def fuse_all(detections, config: FusionConfig) -> List[Detection]:
     """Fuse every image of a batch (detection sets are batched first).
 
     Calibration is applied per modality before clustering. Output is grouped
     by image id in sorted order, each image's detections sorted by fused
-    posterior descending. In max mode the output holds the seeds themselves,
-    with their calibrated scores.
+    posterior descending. In max mode the output holds the seeds, with their
+    calibrated scores.
     """
     batch = detections if isinstance(detections, DetectionBatch) else DetectionBatch(detections)
-    fused = fuse_columns(batch, config)
-    out: List[Detection] = []
-    for c, (image, seed, det_id, modality, box, variance) in enumerate(
-        zip(
-            fused.image.tolist(),
-            fused.seed.tolist(),
-            fused.det_id.tolist(),
-            fused.modality,
-            fused.boxes.tolist(),
-            fused.variances.tolist(),
-        )
-    ):
-        if config.score_fusion == "max":
-            d = batch.detections[seed]
-            if d.modality in config.calibration:
-                d = d.with_scores(fused.scores.row(c))
-            out.append(d)
-            continue
-        out.append(
-            Detection(
-                image_id=batch.image_ids[image],
-                modality=modality,
-                box=BBox(*box),
-                scores=fused.scores.row(c),
-                box_variance=None if math.isnan(variance) else variance,
-                det_id=det_id,
-            )
-        )
-    return out
+    return fuse_detections(batch, config).to_detections()
 
 
-def fuse(
-    detection_sets: Sequence[Sequence[Detection]],
-    config: FusionConfig,
-) -> List[Detection]:
+def fuse(detection_sets: Sequence, config: FusionConfig) -> List[Detection]:
     """Fuse the detections of a single image (see ``fuse_all``)."""
-    image_ids = {d.image_id for d in chain.from_iterable(detection_sets)}
+    sets = [DetectionColumns.of(s) for s in detection_sets]
+    image_ids = set(chain.from_iterable(s.image_id for s in sets))
     if len(image_ids) > 1:
         raise ConfigurationError(
             f"fuse operates on one image at a time, got image ids {sorted(image_ids)}"
         )
-    return fuse_all(detection_sets, config)
+    return fuse_all(sets, config)

@@ -11,24 +11,38 @@ write/parse cycle reproduces every numeric field exactly.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .detections import ClassScores, Detection, GroundTruth, check_box_variance
+from .detections import (
+    ClassScores,
+    DetectionColumns,
+    GroundTruth,
+    GroundTruthColumns,
+    check_box_variance,
+)
 from .errors import InvalidScoreError, ParseError
-from .geometry import BBox
+from .geometry import BBox, first_invalid_box
 
 
-def _parse_bbox(raw, path, line_no) -> BBox:
+def _extend_box(box_values: array, raw, path, line_no) -> None:
+    """Append a bbox field's four coordinates to box_values, before the
+    checks of ``BBox``."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ParseError(path, line_no, f"bbox must be [x, y, w, h], got {raw!r}")
+    start = len(box_values)
     try:
-        return BBox(*[float(v) for v in raw])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, line_no, f"invalid bbox: {exc}") from exc
+        box_values.extend(raw)  # numbers convert as float() converts them
+    except (TypeError, OverflowError):
+        del box_values[start:]  # extend stops part-way; float() names the fault
+        try:
+            box_values.extend([float(v) for v in raw])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(path, line_no, f"invalid bbox: {exc}") from exc
 
 
 _SCORE_KINDS = ("logits", "posteriors", "score")
@@ -83,20 +97,39 @@ def _check_row(path, line_no, kind: str, row) -> None:
         raise ParseError(path, line_no, f"invalid {kind}: {exc}") from exc
 
 
-def _raise_first_invalid(path, pending) -> None:
-    """Raise the error of the first line whose score row fails on its own;
-    return if every row passes."""
+def _boxes(values: array) -> np.ndarray:
+    return np.frombuffer(values).reshape(-1, 4)
+
+
+def _raise_first_invalid(path, box_values: array, box_lines: array, pending=None) -> None:
+    """Raise the error of the first line whose box, or whose score row, fails
+    on its own; return if every one passes.
+
+    The checks of a line run in the order a per-record reader makes them:
+    its box ahead of its score row, and both ahead of any other check of
+    that line still to come when the first error was raised.
+    """
     bad = []
-    for kind, (values, lines) in pending.items():
+    boxes = _boxes(box_values)
+    row = first_invalid_box(boxes)
+    if row >= 0:
+        try:
+            BBox(*boxes[row].tolist())
+        except ValueError as exc:
+            bad.append((box_lines[row], 0, ParseError(path, box_lines[row], f"invalid bbox: {exc}")))
+    for kind, (values, lines) in (pending or {}).items():
         width = len(values) // len(lines) if lines else 0
         for i, line_no in enumerate(lines):
             try:
                 _check_row(path, line_no, kind, values[i * width : (i + 1) * width])
             except ParseError as exc:
-                bad.append(exc)
+                bad.append((line_no, 1, exc))
                 break
     if bad:
-        raise min(bad, key=lambda exc: exc.line_number)
+        raise min(bad, key=lambda fault: fault[:2])[2]
+
+
+_decode = json.JSONDecoder().raw_decode
 
 
 def _iter_records(path):
@@ -106,9 +139,14 @@ def _iter_records(path):
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
+                record, end = _decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):  # json.loads gives the error message
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ParseError(path, line_no, "each line must hold a JSON object")
             yield line_no, record
@@ -119,18 +157,18 @@ def read_detections(
     modality_override: Optional[str] = None,
     num_classes: Optional[int] = None,
     start_det_id: int = 0,
-) -> List[Detection]:
-    """Parse a detection file; det_ids are assigned in ingest order.
+) -> DetectionColumns:
+    """Parse a detection file into columns; det_ids are assigned in ingest order.
 
-    The score rows of each kind are checked and converted together, in one
-    ``ClassScores`` constructor call per kind. An error is still reported at
-    the first bad line: score rows are checked ahead of any later error.
+    Boxes are checked together, and the score rows of each kind are checked
+    and converted together, in one ``ClassScores`` constructor call per
+    kind. An error is still reported at the first bad line, with the message
+    a reader checking record by record gives.
     """
     image_ids: List[str] = []
     modalities: List[str] = []
-    boxes: List[BBox] = []
-    variances: List[Optional[float]] = []
     kinds: List[str] = []
+    box_values, lines, variances = array("d"), array("q"), array("d")
     # per score kind: the row values back to back, and each row's line
     pending = {kind: (array("d"), array("q")) for kind in _SCORE_KINDS}
     try:
@@ -142,7 +180,8 @@ def read_detections(
             modality = modality_override or record.get("modality")
             if not modality:
                 raise ParseError(path, line_no, "missing modality (and no override given)")
-            box = _parse_bbox(record.get("bbox"), path, line_no)
+            _extend_box(box_values, record.get("bbox"), path, line_no)
+            lines.append(line_no)
             kind, row = _score_row(record, path, line_no, num_classes)
             k = len(row) - 1
             if num_classes is None:
@@ -152,108 +191,132 @@ def read_detections(
                 raise ParseError(
                     path, line_no, f"inconsistent class count: {k} vs expected {num_classes}"
                 )
-            values, lines = pending[kind]
+            values, kind_lines = pending[kind]
             values.extend(row)
-            lines.append(line_no)
+            kind_lines.append(line_no)
             variance = record.get("box_variance")
             try:
                 if variance is not None:
                     variance = float(variance)
-                check_box_variance(variance)
+                    check_box_variance(variance)
+                    if not math.isfinite(1.0 / variance):
+                        raise ValueError(f"box_variance {variance} has no finite inverse")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
             image_ids.append(str(record["image_id"]))
             modalities.append(str(modality))
-            boxes.append(box)
-            variances.append(variance)
+            variances.append(math.nan if variance is None else variance)
             kinds.append(kind)
 
-        scores = {}
-        for kind, (values, lines) in pending.items():
-            if lines:
-                stack = _build_scores(kind, np.frombuffer(values).reshape(len(lines), -1))
-                scores[kind] = map(stack.row, range(len(lines)))
-    except (ParseError, InvalidScoreError):
-        _raise_first_invalid(path, pending)
+        width = (num_classes or 1) + 1
+        logits = np.empty((len(kinds), width))
+        posteriors = np.empty_like(logits)
+        kind_of = np.array(kinds, dtype=object)
+        for kind, (values, kind_lines) in pending.items():
+            if kind_lines:
+                stack = _build_scores(kind, np.frombuffer(values).reshape(len(kind_lines), -1))
+                rows = kind_of == kind
+                logits[rows], posteriors[rows] = stack.logits, stack.posteriors
+    except Exception:  # a box or score row that failed earlier is reported first
+        _raise_first_invalid(path, box_values, lines, pending)
         raise
-    return [
-        Detection(image_id, modality, box, next(scores[kind]), variance, det_id)
-        for det_id, (image_id, modality, box, variance, kind) in enumerate(
-            zip(image_ids, modalities, boxes, variances, kinds), start=start_det_id
-        )
-    ]
+    _raise_first_invalid(path, box_values, lines)
+    return DetectionColumns(
+        image_id=image_ids,
+        modality=modalities,
+        boxes=_boxes(box_values),
+        variances=np.frombuffer(variances),
+        scores=ClassScores(logits=logits, posteriors=posteriors),
+        det_id=np.arange(start_det_id, start_det_id + len(kinds), dtype=np.int64),
+    )
 
 
-def write_detections(path, detections: Sequence[Detection]):
+def write_detections(path, detections) -> None:
+    """Write ``DetectionColumns`` (or a ``Detection`` sequence), one record a line."""
+    detections = DetectionColumns.of(detections)
+    lines = []
+    for image_id, modality, box, logits, variance in zip(
+        detections.image_id,
+        detections.modality,
+        detections.boxes.tolist(),
+        detections.scores.logits.tolist(),
+        detections.variances.tolist(),
+    ):
+        record = {"image_id": image_id, "modality": modality, "bbox": box, "logits": logits}
+        if not math.isnan(variance):
+            record["box_variance"] = variance
+        lines.append(json.dumps(record) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for d in detections:
-            record = {
-                "image_id": d.image_id,
-                "modality": d.modality,
-                "bbox": d.box.as_list(),
-                "logits": [float(v) for v in d.scores.logits],
-            }
-            if d.box_variance is not None:
-                record["box_variance"] = d.box_variance
-            fh.write(json.dumps(record) + "\n")
+        fh.writelines(lines)
 
 
 def read_ground_truth(
     path,
-) -> Tuple[List[GroundTruth], Dict[str, str], int, Optional[List[str]], List[str]]:
+) -> Tuple[GroundTruthColumns, Dict[str, str], int, Optional[List[str]], List[str]]:
     """Parse a ground-truth file.
 
-    Returns (ground truths, image tags, num_classes, class_names, image ids),
-    the image ids being every image a record declares, sorted. The first
-    record must be the meta header declaring the class count.
+    Returns (ground-truth columns, image tags, num_classes, class_names,
+    image ids), the image ids being every image a record declares, sorted.
+    The first record must be the meta header declaring the class count.
     """
-    gts: List[GroundTruth] = []
+    gt_images: List[str] = []
+    class_ids, ignore = array("q"), []
+    box_values, lines = array("d"), array("q")
     tags: Dict[str, str] = {}
     image_ids = set()
     num_classes: Optional[int] = None
     class_names: Optional[List[str]] = None
-    for line_no, record in _iter_records(path):
-        if "meta" in record:
-            meta = record["meta"]
-            if not isinstance(meta, dict) or "num_classes" not in meta:
-                raise ParseError(path, line_no, "meta record must declare num_classes")
-            num_classes = int(meta["num_classes"])
-            if num_classes < 1:
-                raise ParseError(path, line_no, f"num_classes must be >= 1, got {num_classes}")
-            names = meta.get("class_names")
-            if names is not None:
-                class_names = [str(n) for n in names]
-            continue
+    try:
+        for line_no, record in _iter_records(path):
+            if "meta" in record:
+                meta = record["meta"]
+                if not isinstance(meta, dict) or "num_classes" not in meta:
+                    raise ParseError(path, line_no, "meta record must declare num_classes")
+                num_classes = int(meta["num_classes"])
+                if num_classes < 1:
+                    raise ParseError(path, line_no, f"num_classes must be >= 1, got {num_classes}")
+                names = meta.get("class_names")
+                if names is not None:
+                    class_names = [str(n) for n in names]
+                continue
+            if num_classes is None:
+                raise ParseError(path, line_no, "ground-truth file must start with a meta header")
+            if "image_id" not in record:
+                raise ParseError(path, line_no, "missing field 'image_id'")
+            image_id = str(record["image_id"])
+            image_ids.add(image_id)
+            tag = record.get("tag")
+            if tag is not None:
+                if tag not in ("day", "night"):
+                    raise ParseError(path, line_no, f"tag must be 'day' or 'night', got {tag!r}")
+                tags[image_id] = tag
+            if "bbox" not in record:
+                continue  # image declaration only
+            _extend_box(box_values, record["bbox"], path, line_no)
+            lines.append(line_no)
+            try:
+                class_id = int(record["class_id"])
+            except (KeyError, TypeError, ValueError):
+                raise ParseError(path, line_no, "missing or invalid class_id") from None
+            if not 1 <= class_id <= num_classes:
+                raise ParseError(
+                    path, line_no, f"class_id {class_id} out of range 1..{num_classes}"
+                )
+            gt_images.append(image_id)
+            class_ids.append(class_id)
+            ignore.append(bool(record.get("ignore", False)))
         if num_classes is None:
-            raise ParseError(path, line_no, "ground-truth file must start with a meta header")
-        if "image_id" not in record:
-            raise ParseError(path, line_no, "missing field 'image_id'")
-        image_id = str(record["image_id"])
-        image_ids.add(image_id)
-        tag = record.get("tag")
-        if tag is not None:
-            if tag not in ("day", "night"):
-                raise ParseError(path, line_no, f"tag must be 'day' or 'night', got {tag!r}")
-            tags[image_id] = tag
-        if "bbox" not in record:
-            continue  # image declaration only
-        box = _parse_bbox(record["bbox"], path, line_no)
-        try:
-            class_id = int(record["class_id"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(path, line_no, "missing or invalid class_id") from None
-        if not 1 <= class_id <= num_classes:
-            raise ParseError(path, line_no, f"class_id {class_id} out of range 1..{num_classes}")
-        gts.append(
-            GroundTruth(
-                image_id=image_id,
-                box=box,
-                class_id=class_id,
-                ignore=bool(record.get("ignore", False)),
-            )
-        )
-    if num_classes is None:
-        raise ParseError(path, 1, "ground-truth file must start with a meta header")
+            raise ParseError(path, 1, "ground-truth file must start with a meta header")
+    except Exception:  # a box that failed earlier is reported first
+        _raise_first_invalid(path, box_values, lines)
+        raise
+    _raise_first_invalid(path, box_values, lines)
+    gts = GroundTruthColumns(
+        image_id=gt_images,
+        boxes=_boxes(box_values),
+        class_id=np.frombuffer(class_ids, dtype=np.int64),
+        ignore=np.array(ignore, dtype=bool),
+    )
     return gts, tags, num_classes, class_names, sorted(image_ids)
 
 
@@ -287,11 +350,11 @@ def write_ground_truth(
             fh.write(json.dumps({"image_id": image_id, "tag": tags[image_id]}) + "\n")
 
 
-def write_curves_csv(path, columns: Tuple[str, str], rows):
+def write_curves_csv(path, columns: Tuple[str, str], first: List[float], second: List[float]):
+    """A two-column CSV of equal-length float lists, written in one call."""
+    rows = "".join(map("{!r},{!r}\n".format, first, second))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{columns[0]},{columns[1]}\n")
-        for a, b in rows:
-            fh.write(f"{float(a)!r},{float(b)!r}\n")
+        fh.write(f"{columns[0]},{columns[1]}\n{rows}")
 
 
 def write_json(path, payload):

@@ -69,6 +69,14 @@ def box_array(boxes: Iterable[BBox]) -> np.ndarray:
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
 
+def first_invalid_box(boxes: np.ndarray, also=False) -> int:
+    """The first row of (N, 4) boxes that ``BBox`` rejects (a coordinate that
+    is not finite, or a width or height that is not positive) or that also
+    marks; -1 if there is none."""
+    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0) | (boxes[:, 3] <= 0) | also
+    return int(np.argmax(bad)) if bad.any() else -1
+
+
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``iou`` over arrays of boxes, equal to it bit for bit.
 

@@ -16,10 +16,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detections import Detection, GroundTruth
+from .detections import DetectionColumns, GroundTruthColumns
 
 # iou is not called here; perfbench/tracing.py wraps it under this name.
-from .geometry import box_array, box_iou, iou  # noqa: F401
+from .geometry import box_iou, iou  # noqa: F401
 
 TP = "TP"
 FP = "FP"
@@ -94,18 +94,20 @@ class TruthColumns:
     """The ground truths of a list of images as columns, grouped by image.
 
     Image k of image_ids holds rows start[k]:start[k + 1], in input order;
-    ground truths of other images are left out.
+    ground truths of other images are left out. gts is
+    ``GroundTruthColumns`` or a ``GroundTruth`` sequence.
     """
 
-    def __init__(self, gts: Sequence[GroundTruth], image_ids: Sequence[str]):
+    def __init__(self, gts, image_ids: Sequence[str]):
+        gts = GroundTruthColumns.of(gts)
         self.image_ids = np.array(image_ids, dtype=object)
         self.index = {image_id: k for k, image_id in enumerate(image_ids)}
-        image = self.positions([g.image_id for g in gts])
+        image = self.positions(gts.image_id)
         kept = np.flatnonzero(image >= 0)
         kept = kept[np.argsort(image[kept], kind="stable")]
-        self.boxes = box_array(gts[i].box for i in kept)
-        self.class_id = np.array([gts[i].class_id for i in kept], dtype=np.int64)
-        self.ignore = np.array([gts[i].ignore for i in kept], dtype=bool)
+        self.boxes = gts.boxes[kept]
+        self.class_id = gts.class_id[kept]
+        self.ignore = gts.ignore[kept]
         self.start = np.searchsorted(image[kept], np.arange(len(image_ids) + 1))
         classes, counts = np.unique(self.class_id[~self.ignore], return_counts=True)
         self.num_gt = dict(zip(classes.tolist(), counts.tolist()))
@@ -174,43 +176,43 @@ def match_columns(
 
 
 def _match_detections(
-    dets: Sequence[Detection], truth: TruthColumns, image: np.ndarray, iou_threshold: float
+    dets: DetectionColumns, truth: TruthColumns, image: np.ndarray, iou_threshold: float
 ) -> MatchResult:
+    scores = dets.scores
     return match_columns(
         truth,
         image,
-        box_array(d.box for d in dets),
-        np.array([d.score for d in dets], dtype=float),
-        np.array([d.class_id for d in dets], dtype=np.int64),
-        np.array([d.det_id for d in dets], dtype=np.int64),
+        dets.boxes,
+        scores.score,
+        scores.argmax_foreground(),
+        dets.det_id,
         iou_threshold,
     )
 
 
-def match(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
-    iou_threshold: float = 0.5,
-) -> MatchResult:
+def match(dets, gts, iou_threshold: float = 0.5) -> MatchResult:
     """Greedy matching of one image's detections against its ground truths
-    (see ``match_columns``)."""
-    image_id = dets[0].image_id if dets else gts[0].image_id if gts else ""
-    truth = TruthColumns([replace(g, image_id=image_id) for g in gts], [image_id])
+    (see ``match_columns``), whatever their image ids. dets and gts are
+    columns or object sequences."""
+    dets, gts = DetectionColumns.of(dets), GroundTruthColumns.of(gts)
+    image_id = dets.image_id[0] if len(dets) else gts.image_id[0] if len(gts) else ""
+    truth = TruthColumns(replace(gts, image_id=[image_id] * len(gts)), [image_id])
     return _match_detections(dets, truth, np.zeros(len(dets), dtype=np.int64), iou_threshold)
 
 
 def match_all(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
+    dets,
+    gts,
     iou_threshold: float = 0.5,
     image_ids: Optional[Sequence[str]] = None,
 ) -> MatchResult:
-    """Match per image and pool; image_ids fixes the image universe."""
+    """Match per image and pool; image_ids fixes the image universe. dets
+    and gts are columns or object sequences."""
+    dets, gts = DetectionColumns.of(dets), GroundTruthColumns.of(gts)
     if image_ids is None:
-        image_ids = sorted({d.image_id for d in dets} | {g.image_id for g in gts})
+        image_ids = sorted(set(dets.image_id) | set(gts.image_id))
     truth = TruthColumns(gts, image_ids)
-    image = truth.positions([d.image_id for d in dets])
-    return _match_detections(dets, truth, image, iou_threshold)
+    return _match_detections(dets, truth, truth.positions(dets.image_id), iou_threshold)
 
 
 def _pr_points(result: MatchResult, class_id: int) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -367,14 +369,14 @@ def _subset_report(result: MatchResult, num_classes: int) -> SubsetReport:
     for cls in range(1, num_classes + 1):
         recall, precision, npos = _pr_points(result, cls)
         ap[cls] = _ap_from_points(recall, precision) if npos > 0 else None
-        pr_curves[cls] = (list(recall), list(precision))
+        pr_curves[cls] = (recall.tolist(), precision.tolist())
     defined = [v for v in ap.values() if v is not None]
     mean_ap = float(np.mean(defined)) if defined else None
 
     if sum(result.num_gt.values()) > 0:
         fppi, miss = _miss_fppi_curve(result, result.num_images)
         lamr_value = _lamr_from_curve(fppi, miss)
-        miss_curve = (list(fppi), list(miss))
+        miss_curve = (fppi.tolist(), miss.tolist())
     else:
         lamr_value = None
         miss_curve = ([], [])
@@ -392,8 +394,8 @@ def _subset_report(result: MatchResult, num_classes: int) -> SubsetReport:
 
 
 def breakdown(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
+    dets,
+    gts,
     tags: Mapping[str, str],
     iou_threshold: float = 0.5,
     num_classes: Optional[int] = None,
@@ -401,7 +403,7 @@ def breakdown(
     image_ids: Iterable[str] = (),
 ) -> EvalReport:
     """Evaluate overall and per image tag (day/night); untagged images count
-    only toward 'all'.
+    only toward 'all'. dets and gts are columns or object sequences.
 
     'all' covers the images of dets, gts and tags plus any image_ids, which
     lets a caller count images that hold neither a detection nor an object.
@@ -409,23 +411,24 @@ def breakdown(
     are stably sorted, so a tag's labels, filtered from the pooled ones, are
     those a match over the tag's images alone would give, in the same order.
     """
+    dets, gts = DetectionColumns.of(dets), GroundTruthColumns.of(gts)
     if num_classes is None:
-        candidates = [g.class_id for g in gts] + [d.class_id for d in dets]
-        num_classes = max(candidates) if candidates else 1
+        candidates = np.concatenate((gts.class_id, dets.scores.argmax_foreground()))
+        num_classes = int(candidates.max()) if len(candidates) else 1
 
-    all_ids = sorted(
-        {d.image_id for d in dets} | {g.image_id for g in gts} | set(tags) | set(image_ids)
-    )
+    all_ids = sorted(set(dets.image_id) | set(gts.image_id) | set(tags) | set(image_ids))
     result = match_all(dets, gts, iou_threshold, image_ids=all_ids)
     subsets: Dict[str, Optional[SubsetReport]] = {"all": _subset_report(result, num_classes)}
     row_tags = np.array([tags.get(image_id) for image_id in result.image_id], dtype=object)
+    gt_tags = np.array([tags.get(image_id) for image_id in gts.image_id], dtype=object)
     for tag in sorted(set(tags.values())):
-        num_gt: Dict[int, int] = {}
-        for g in gts:
-            if not g.ignore and tags.get(g.image_id) == tag:
-                num_gt[g.class_id] = num_gt.get(g.class_id, 0) + 1
+        classes, counts = np.unique(
+            gts.class_id[~gts.ignore & (gt_tags == tag)], return_counts=True
+        )
         subset = result.rows(
-            row_tags == tag, num_gt, sum(1 for t in tags.values() if t == tag)
+            row_tags == tag,
+            dict(zip(classes.tolist(), counts.tolist())),
+            sum(1 for t in tags.values() if t == tag),
         )
         subsets[tag] = _subset_report(subset, num_classes)
     return EvalReport(subsets=subsets, num_classes=num_classes, class_names=class_names)

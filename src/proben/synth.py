@@ -104,10 +104,10 @@ def _perturbed_box(rng, box: BBox, std: float) -> BBox:
     )
 
 
-def _scores(rng, num_classes: int, class_id: int, concentration: float) -> ClassScores:
+def _logits(rng, num_classes: int, class_id: int, concentration: float) -> np.ndarray:
     logits = rng.normal(0.0, 1.0, size=num_classes + 1)
     logits[class_id] += concentration
-    return ClassScores.from_logits(logits)
+    return logits
 
 
 def _reported_variance(rng, profile: ModalityProfile) -> float:
@@ -123,7 +123,7 @@ def generate(spec: ScenarioSpec) -> SyntheticDataset:
     modalities = sorted(spec.profiles)
 
     ground_truths: List[GroundTruth] = []
-    # per modality: (image_id, box, scores, variance) of each detection
+    # per modality: (image_id, box, logits, variance) of each detection
     fired: Dict[str, List[tuple]] = {m: [] for m in modalities}
     tags: Dict[str, str] = {}
 
@@ -150,26 +150,28 @@ def generate(spec: ScenarioSpec) -> SyntheticDataset:
                 if rng.random() >= profile.recall:
                     continue
                 box = _perturbed_box(rng, gt.box, profile.loc_noise)
-                scores = _scores(rng, spec.num_classes, gt.class_id, profile.tp_concentration)
-                fired[modality].append((image_id, box, scores, _reported_variance(rng, profile)))
+                logits = _logits(rng, spec.num_classes, gt.class_id, profile.tp_concentration)
+                fired[modality].append((image_id, box, logits, _reported_variance(rng, profile)))
             for _ in range(rng.poisson(profile.fp_rate)):
                 fp_class = int(rng.integers(1, spec.num_classes + 1))
                 box = _random_box(rng, spec.image_size)
-                scores = _scores(rng, spec.num_classes, fp_class, profile.fp_concentration)
-                fired[modality].append((image_id, box, scores, _reported_variance(rng, profile)))
+                logits = _logits(rng, spec.num_classes, fp_class, profile.fp_concentration)
+                fired[modality].append((image_id, box, logits, _reported_variance(rng, profile)))
 
     # det_ids are unique across modalities and numbered modality by modality,
-    # as the CLI numbers the files written here when it reads them in order
+    # as the CLI numbers the files written here when it reads them in order;
+    # each modality's score rows are one stack
     detections: Dict[str, List[Detection]] = {}
     next_id = 0
     for modality in modalities:
+        rows = fired[modality]
+        if rows:
+            stack = ClassScores.from_logits(np.array([logits for _, _, logits, _ in rows]))
         detections[modality] = [
-            Detection(image_id, modality, box, scores, variance, det_id)
-            for det_id, (image_id, box, scores, variance) in enumerate(
-                fired[modality], start=next_id
-            )
+            Detection(image_id, modality, box, stack.row(i), variance, next_id + i)
+            for i, (image_id, box, _, variance) in enumerate(rows)
         ]
-        next_id += len(fired[modality])
+        next_id += len(rows)
 
     return SyntheticDataset(
         ground_truths=ground_truths,

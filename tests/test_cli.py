@@ -354,3 +354,70 @@ class TestExitCodes:
         out = tmp_path / "out.jsonl"
         argv = ["fuse", str(rgb), str(thermal), "--score-fusion", "linear", "--out", str(out)]
         assert main(argv) == 3
+
+
+class TestVarianceChecks:
+    def pair(self, tmp_path, variance):
+        rgb, thermal = tmp_path / "rgb.jsonl", tmp_path / "thermal.jsonl"
+        for path, modality in ((rgb, "rgb"), (thermal, "thermal")):
+            write_jsonl(
+                path,
+                [{"image_id": "i", "modality": modality, "bbox": [0, 0, 10, 20],
+                  "posteriors": [0.2, 0.8], "box_variance": variance}],
+            )
+        return rgb, thermal
+
+    @pytest.mark.parametrize("box_fusion", ["avg", "v-avg"])
+    def test_subnormal_variance_is_a_parse_error_at_its_line(self, tmp_path, capsys, box_fusion):
+        rgb, thermal = self.pair(tmp_path, 1e-320)
+        argv = ["fuse", str(rgb), str(thermal), "--box-fusion", box_fusion,
+                "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2
+        assert f"{rgb}:1: box_variance 1e-320 has no finite inverse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box_fusion", ["avg", "v-avg"])
+    def test_fused_variance_must_be_positive(self, tmp_path, capsys, box_fusion):
+        # each inverse is finite, but their sum overflows: the fused variance is 0
+        rgb, thermal = self.pair(tmp_path, 1.1e-308)
+        out = tmp_path / "out.jsonl"
+        assert main(["fuse", str(rgb), str(thermal), "--box-fusion", box_fusion,
+                     "--out", str(out)]) == 3
+        assert "error: box_variance must be finite and positive, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNoPerRecordObjects:
+    def test_fuse_eval_and_calibrate_build_no_detection_box_or_ground_truth(
+        self, tmp_path, monkeypatch
+    ):
+        from proben import BBox, Detection, GroundTruth
+
+        assert main(["synth", "--out-dir", str(tmp_path), "--images", "30", "--seed", "3"]) == 0
+        built = []
+        for cls in (Detection, GroundTruth, BBox):
+            init = cls.__init__
+
+            def counted(self, *args, init=init, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        inputs = [str(tmp_path / "det_rgb.jsonl"), str(tmp_path / "det_thermal.jsonl")]
+        gt = str(tmp_path / "gt.jsonl")
+        fused = str(tmp_path / "fused.jsonl")
+        for argv in (
+            ["fuse", *inputs, "--box-fusion", "v-avg", "--out", fused],
+            ["fuse", *inputs, "--score-fusion", "pooling", "--out", fused],
+            ["fuse", *inputs, "--score-fusion", "max", "--temperature", "rgb=2", "--out", fused],
+            ["eval", fused, gt, "--breakdown", "--curves", "--out-prefix", str(tmp_path / "ev")],
+            ["calibrate", *inputs, "--ground-truth", gt, "--prior", "counted:0.5",
+             "--calibrate-modality", "rgb", "--grid-t", "1:2:2",
+             "--out-prefix", str(tmp_path / "cal")],
+        ):
+            assert main(argv) == 0, argv
+        assert built == []
+        # the counting itself works: the object view still builds them
+        from proben.fileio import read_detections
+
+        read_detections(inputs[0]).to_detections()
+        assert "Detection" in built and "BBox" in built

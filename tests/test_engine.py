@@ -80,13 +80,13 @@ class TestPool:
     def test_empty_modality_is_noop(self):
         b = BBox(0, 0, 10, 10)
         set1 = [det("i", "rgb", b, 0.9, 0)]
-        assert pool([set1, []]) == set1
+        assert pool([set1, []]).to_detections() == set1
 
     def test_duplicates_retained_and_sorted(self):
         b = BBox(0, 0, 10, 10)
         d1 = det("i", "rgb", b, 0.6, 0)
         d2 = det("i", "thermal", b, 0.9, 1)
-        assert pool([[d1], [d2]]) == [d2, d1]
+        assert pool([[d1], [d2]]).to_detections() == [d2, d1]
 
 
 class TestFusionConfig:

@@ -1,6 +1,7 @@
 """A tiny run of the benchmark harness (perfbench/run.py), so that it cannot
-rot unnoticed: with tracing on, every name it wraps must still resolve and
-every output must still pass its checks."""
+rot unnoticed: with tracing on, every name it wraps must still resolve,
+every output must still pass its checks, and the traced file reads and
+writes must still see every record."""
 
 import json
 import os
@@ -18,3 +19,8 @@ def test_traced_calib_grid_run_is_correct():
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True, run.stdout.splitlines()[-2]
     assert result["failed"] == 0
+    # sizes, not times: one set-up plus one round at seed 0 reads 7822 records
+    # (detections and ground-truth boxes) and writes 4650 (synth and fuse)
+    metrics = result["metrics"]
+    assert metrics["fileio.records_read"]["value"] == 7822
+    assert metrics["fileio.records_written"]["value"] == 4650

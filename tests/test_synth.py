@@ -150,8 +150,28 @@ class TestGenerate:
         for modality in sorted(dataset.detections):
             paths.append(str(tmp_path / f"det_{modality}.jsonl"))
             write_detections(paths[-1], dataset.detections[modality])
-        read = [d.det_id for dets in _read_detection_sets(paths, {}) for d in dets]
+        read = [i for dets in _read_detection_sets(paths, {}) for i in dets.det_id.tolist()]
         generated = [
             d.det_id for m in sorted(dataset.detections) for d in dataset.detections[m]
         ]
         assert generated == read == list(range(len(read)))
+
+
+def test_kaist_like_files_are_pinned(tmp_path):
+    """The written files of the seed-0, 400-image preset, by sha256 prefix (as
+    listed in perfbench/README.md): stacking the softmax per modality and
+    writing columns must not change a byte."""
+    import hashlib
+
+    from proben.cli import main
+
+    assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0", "--images", "400"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:12]
+        for name in ("gt.jsonl", "det_rgb.jsonl", "det_thermal.jsonl")
+    }
+    assert digests == {
+        "gt.jsonl": "ff795c6f550a",
+        "det_rgb.jsonl": "2c60153b202b",
+        "det_thermal.jsonl": "004c66fdf31c",
+    }
