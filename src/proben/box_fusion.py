@@ -90,12 +90,14 @@ def fused_variance(variances: np.ndarray) -> np.ndarray:
     """Posterior variance of each fused box, 1 / sum of inverse variances,
     for (n, m) member variances; NaN where a member reports none.
 
-    The sum runs left to right, as Python's ``sum`` does.
+    The sum runs left to right, as Python's ``sum`` does. A sum that
+    overflows gives a variance of 0, which ``check_box_variance`` rejects.
     """
     inverse = 1.0 / variances
     total = inverse[:, 0]
-    for j in range(1, variances.shape[1]):
-        total = total + inverse[:, j]
+    with np.errstate(over="ignore"):
+        for j in range(1, variances.shape[1]):
+            total = total + inverse[:, j]
     return 1.0 / total
 
 

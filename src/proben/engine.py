@@ -6,6 +6,15 @@ IoU threshold, pick the best detection per modality, fuse scores and boxes,
 remove the whole overlap set, repeat. In ``max`` score-fusion mode the seed
 is emitted unchanged, which makes the loop degenerate to classic NMS.
 
+The loop is not run one seed at a time. Rank the rows by the sort key and
+orient every same-class pair above the threshold from its higher- to its
+lower-ranked row: a row is a seed iff none of its higher-ranked partners is
+a seed, and any other row joins its highest-ranked seed partner.
+``_clusters`` decides this for every image at once in rounds, as many as
+the depth of that oriented overlap graph: 3-5 on kaist-like scenes, but n
+for a chain of n boxes that each overlap only the next. Clusters come out
+as two columns, cluster number and member row.
+
 A ``DetectionBatch`` holds what this needs that does not depend on scores:
 the grouping by image, the box and score columns and every same-image
 pairwise IoU. ``fuse_columns`` fuses a batch into columns (image, seed,
@@ -23,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +59,8 @@ from .score_fusion import (
 )
 
 SCORE_FUSION_MODES = ("max", "avg-posteriors", "avg-logits", "proben", "linear")
+MAX_MODALITIES = 64  # a cluster's modalities are an int64 bitmask
+_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,11 @@ class DetectionBatch:
         self.det_ids = columns.det_id
         self.modalities = columns.modality
         self.modality_names = sorted(set(self.modalities))
+        if len(self.modality_names) > MAX_MODALITIES:
+            raise ConfigurationError(
+                f"at most {MAX_MODALITIES} modalities fuse together, "
+                f"got {len(self.modality_names)}"
+            )
         code = {modality: k for k, modality in enumerate(self.modality_names)}
         self.modality_codes = np.array([code[m] for m in self.modalities], dtype=np.int64)
         self.rows: Dict[str, np.ndarray] = {
@@ -114,15 +130,22 @@ class DetectionBatch:
         self.scores = columns.scores
 
         # every same-image pair i < j: row i pairs with the `later` rows after
-        # it up to the end of its image
+        # it up to the end of its image. Blocks of rows with about
+        # _PAIR_BLOCK pairs each bound the memory a crowded image takes.
         sizes = np.bincount(self.image_index, minlength=len(self.image_ids))
         rows = np.arange(len(order))
         later = np.repeat(np.cumsum(sizes, dtype=np.int64), sizes) - rows - 1
-        first = np.repeat(rows, later)
-        second = np.arange(later.sum()) - np.repeat(np.cumsum(later) - later - rows - 1, later)
-        value = box_iou(self.boxes[first], self.boxes[second])
-        keep = value > 0.0
-        self.pairs = (first[keep], second[keep], value[keep])
+        before = np.cumsum(later) - later  # pairs of the rows ahead of each row
+        starts = np.searchsorted(before, np.arange(0, max(later.sum(), 1), _PAIR_BLOCK))
+        pairs = []
+        for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+            block, count = rows[lo:hi], later[lo:hi]
+            first = np.repeat(block, count)
+            second = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - block - 1, count)
+            value = box_iou(self.boxes[first], self.boxes[second])
+            keep = value > 0.0
+            pairs.append((first[keep], second[keep], value[keep]))
+        self.pairs = tuple(np.concatenate(column) for column in zip(*pairs))
 
 
 @dataclass(frozen=True)
@@ -170,46 +193,94 @@ def _calibrated(batch: DetectionBatch, calibration: Mapping[str, CalibrationPara
 
 
 def _select_per_modality(members: Sequence[int], modalities: Sequence[str]) -> List[int]:
-    """The best member of each modality, best first; members come ranked."""
+    """The best member of each modality, best first; members come ranked.
+
+    Not called here: ``_clusters`` selects every cluster's members at once.
+    perfbench/tracing.py wraps this name."""
     best: Dict[str, int] = {}
     for i in members:
         best.setdefault(modalities[i], i)
     return list(best.values())
 
 
-def _clusters(batch: DetectionBatch, scores: ClassScores, config: FusionConfig) -> List[List[int]]:
-    """Greedy clustering: the ranked members of each cluster (in max mode just
-    the seed), in emission order: image by image, seeds best first."""
-    # Rank by the sort key (-score, class, det_id) within each image; ties
-    # keep input order.
+def _seeds(parent: np.ndarray, child: np.ndarray, n: int) -> np.ndarray:
+    """Whether each of n rows is a seed, given every edge parent -> child from
+    a higher- to a lower-ranked row: a row is a seed iff no parent is.
+
+    Rows are decided in rounds: a row is a non-seed as soon as a parent is a
+    seed, and a seed once every parent is a decided non-seed. Each round
+    visits only the edges out of the rows decided in the round before, so
+    the work is one pass over the edges plus a few array calls per round,
+    and there are as many rounds as the longest chain of edges.
+    """
+    out_degree = np.bincount(parent, minlength=n)
+    end = np.cumsum(out_degree)
+    children = child[np.argsort(parent, kind="stable")]  # row i's end[i] - out_degree[i]:end[i]
+    pending = np.bincount(child, minlength=n)  # parents whose edges are not yet visited
+    undecided, seed, other = 0, 1, 2
+    state = np.where(pending == 0, seed, undecided).astype(np.int8)
+    decided = np.flatnonzero(pending == 0)
+    while len(decided):
+        count = out_degree[decided]
+        at = np.repeat(end[decided] - np.cumsum(count), count) + np.arange(count.sum())
+        kids = children[at]
+        beaten = kids[np.repeat(state[decided] == seed, count) & (state[kids] == undecided)]
+        state[beaten] = other
+        np.subtract.at(pending, kids, 1)
+        freed = kids[(pending[kids] == 0) & (state[kids] == undecided)]
+        state[freed] = seed
+        decided = np.concatenate((beaten, freed))
+        if len(decided) > 1:  # a row with two decided parents is listed twice
+            decided = np.unique(decided)
+    return state == seed
+
+
+def _clusters(
+    batch: DetectionBatch, scores: ClassScores, config: FusionConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy clustering, as two columns (cluster, row): clusters numbered in
+    emission order (image by image, seeds best first), each cluster's members
+    best first (in max mode just the seed).
+
+    Rows are ranked by the sort key (-score, class, det_id) within each
+    image; ties keep input order. Every same-class pair above the IoU
+    threshold is oriented from its higher- to its lower-ranked row. The
+    greedy loop (the best alive row seeds a cluster of itself and its alive
+    partners, which then leave) makes a row a seed iff none of its
+    higher-ranked partners is a seed, and puts any other row in the cluster
+    of its highest-ranked seed partner. ``_seeds`` decides that for every
+    image at once in as many rounds as the longest rank-ordered chain of
+    overlaps. Per-modality selection then keeps the best row of each
+    (cluster, modality).
+    """
     classes = scores.argmax_foreground()
     order = np.lexsort((batch.det_ids, classes, -scores.score, batch.image_index))
+    n = len(order)
     rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+    rank[order] = np.arange(n)
 
-    # Each row's same-class partners above the threshold, ranked: row i's
-    # are partners[start[i]:start[i + 1]].
     first, second, value = batch.pairs
     hit = (value > config.iou_threshold) & (classes[first] == classes[second])
-    rows = np.concatenate((first[hit], second[hit]))
-    partners = np.concatenate((second[hit], first[hit]))
-    ranked = np.lexsort((rank[partners], rows))
-    start = np.searchsorted(rows[ranked], np.arange(len(order) + 1)).tolist()
-    partners = partners[ranked].tolist()
+    first, second = first[hit], second[hit]
+    swap = rank[first] > rank[second]
+    parent, child = np.where(swap, second, first), np.where(swap, first, second)
+    is_seed = _seeds(parent, child, n)
+    if config.score_fusion == "max":
+        seeds = order[is_seed[order]]
+        return np.arange(len(seeds)), seeds
 
-    alive = [True] * len(order)
-    clusters: List[List[int]] = []
-    for seed in order.tolist():
-        if not alive[seed]:
-            continue
-        overlap = [seed] + [j for j in partners[start[seed] : start[seed + 1]] if alive[j]]
-        for j in overlap:
-            alive[j] = False
-        if config.score_fusion == "max":
-            clusters.append([seed])
-        else:
-            clusters.append(_select_per_modality(overlap, batch.modalities))
-    return clusters
+    # each row's cluster, as the rank of its seed
+    owner = np.where(is_seed, rank, n)
+    led = is_seed[parent]
+    np.minimum.at(owner, child[led], rank[parent[led]])
+    # per-modality selection: the first row of each (cluster, modality) in rank order
+    group = owner[order] * len(batch.modality_names) + batch.modality_codes[order]
+    keep = np.zeros(n, dtype=bool)
+    keep[np.unique(group, return_index=True)[1]] = True
+    kept = order[keep]
+    members = kept[np.argsort(owner[kept], kind="stable")]
+    cluster = np.cumsum(is_seed[order])[owner[members]] - 1
+    return cluster, members
 
 
 def _fuse_scores(members: np.ndarray, scores: ClassScores, batch, config, prior) -> ClassScores:
@@ -229,76 +300,88 @@ def _fuse_scores(members: np.ndarray, scores: ClassScores, batch, config, prior)
     raise ConfigurationError(config.score_fusion)  # pragma: no cover - guarded by FusionConfig
 
 
+def _groups(keys: np.ndarray) -> List[np.ndarray]:
+    """The indices of each distinct non-negative integer key, ascending."""
+    order = np.argsort(keys, kind="stable")
+    return [g for g in np.split(order, np.cumsum(np.bincount(keys))[:-1]) if len(g)]
+
+
 def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
     """Fuse every image of a batch; the fused detections come out as columns.
 
     Calibration is applied per modality before clustering. Clusters of one
     size are fused together: one score-rule call per size (per modality
     order for linear fusion, whose sum runs in that order), and one
-    weighted average of boxes and of inverse variances per size.
+    weighted average of boxes and of inverse variances per size. These
+    layouts run in order of first appearance, so an error names the
+    detection that a cluster-by-cluster fusion would name.
     """
     scores = _calibrated(batch, config.calibration)
-    clusters = _clusters(batch, scores, config)
-    sizes = np.array([len(members) for members in clusters], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(clusters), dtype=np.int64, count=int(sizes.sum()))
-    offsets = np.cumsum(sizes) - sizes  # cluster c's members are flat[offsets[c]:][:sizes[c]]
-    seed = flat[offsets]
+    cluster, members = _clusters(batch, scores, config)
 
     if config.score_fusion == "max":  # the seeds themselves
-        fused = scores.take(seed)
-        modality = np.array(batch.modalities, dtype=object)[seed]
+        fused = scores.take(members)
+        modality = np.array(batch.modalities, dtype=object)[members]
         return _sorted_columns(
-            batch, seed, modality, batch.boxes[seed], batch.variances[seed], fused
+            batch, members, modality, batch.boxes[members], batch.variances[members], fused
         )
 
-    # clusters with the same members layout; keys in order of first appearance
-    groups: Dict[object, List[int]] = {}
-    for c, members in enumerate(clusters):
-        if config.score_fusion == "linear":
-            key = tuple(batch.modalities[i] for i in members)
-        else:
-            key = len(members)
-        groups.setdefault(key, []).append(c)
+    sizes = np.bincount(cluster)
+    offsets = np.cumsum(sizes) - sizes  # cluster c's members are members[offsets[c]:][:sizes[c]]
+    seed = members[offsets]
+    codes = batch.modality_codes[members]
+
+    def member_positions(numbers):  # of same-size clusters' members, one cluster a row
+        return offsets[numbers][:, None] + np.arange(sizes[numbers[0]])
+
     layouts = []
-    for numbers in groups.values():
-        numbers = np.array(numbers, dtype=np.int64)
-        positions = offsets[numbers][:, None] + np.arange(sizes[numbers[0]])
-        layouts.append((numbers, positions, flat[positions]))
+    for numbers in _groups(sizes):
+        if config.score_fusion == "linear":
+            _, which = np.unique(codes[member_positions(numbers)], axis=0, return_inverse=True)
+            layouts += [numbers[part] for part in _groups(which.reshape(-1))]
+        else:
+            layouts.append(numbers)
+    layouts.sort(key=lambda numbers: numbers[0])  # order of first appearance
+    layouts = [(numbers, member_positions(numbers)) for numbers in layouts]
 
     prior = config.prior
     if prior is None:
         prior = ClassPrior.uniform(scores.num_foreground)
-    logits = np.empty((len(clusters), scores.logits.shape[1]))
+    logits = np.empty((len(sizes), scores.logits.shape[1]))
     posteriors = np.empty_like(logits)
-    for numbers, _, members in layouts:
-        group = _fuse_scores(members, scores, batch, config, prior)
+    for numbers, positions in layouts:
+        group = _fuse_scores(members[positions], scores, batch, config, prior)
         logits[numbers], posteriors[numbers] = group.logits, group.posteriors
     fused = ClassScores(logits=logits, posteriors=posteriors)
 
-    boxes = np.empty((len(clusters), 4))
-    variances = np.empty(len(clusters))
-    modality = np.empty(len(clusters), dtype=object)
+    boxes = np.empty((len(sizes), 4))
+    variances = np.empty(len(sizes))
     weights = None
     if config.box_fusion != "argmax":
-        # flat member order is emission order, so errors name the first member
+        # members are in emission order, so errors name the first member
         fused_class = np.repeat(fused.argmax_foreground(), sizes)
         weights = member_weights(
             config.box_fusion,
-            scores.posteriors[flat, fused_class],
-            batch.variances[flat],
-            batch.det_ids[flat],
+            scores.posteriors[members, fused_class],
+            batch.variances[members],
+            batch.det_ids[members],
         )
-    for numbers, positions, members in layouts:
+    for numbers, positions in layouts:
+        rows = members[positions]
         if weights is None:
-            boxes[numbers] = batch.boxes[members[:, 0]]
+            boxes[numbers] = batch.boxes[rows[:, 0]]
         else:
-            boxes[numbers] = weighted_average(batch.boxes[members], weights[positions])
-        variances[numbers] = fused_variance(batch.variances[members])
-        names, which = np.unique(
-            np.sort(batch.modality_codes[members], axis=1), axis=0, return_inverse=True
-        )
-        joined = ["+".join(batch.modality_names[k] for k in row) for row in names.tolist()]
-        modality[numbers] = np.array(joined, dtype=object)[which.reshape(-1)]
+            boxes[numbers] = weighted_average(batch.boxes[rows], weights[positions])
+        variances[numbers] = fused_variance(batch.variances[rows])
+
+    # each cluster's modalities as a bitmask over the sorted modality names
+    masks = np.bitwise_or.reduceat(np.left_shift(1, codes), offsets)
+    distinct, which = np.unique(masks, return_inverse=True)
+    names = [
+        "+".join(name for k, name in enumerate(batch.modality_names) if mask >> k & 1)
+        for mask in distinct.tolist()
+    ]
+    modality = np.array(names, dtype=object)[which]
     return _sorted_columns(batch, seed, modality, boxes, variances, fused)
 
 

@@ -41,7 +41,7 @@ def _extend_box(box_values: array, raw, path, line_no) -> None:
         del box_values[start:]  # extend stops part-way; float() names the fault
         try:
             box_values.extend([float(v) for v in raw])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, line_no, f"invalid bbox: {exc}") from exc
 
 
@@ -272,11 +272,18 @@ def read_ground_truth(
                 meta = record["meta"]
                 if not isinstance(meta, dict) or "num_classes" not in meta:
                     raise ParseError(path, line_no, "meta record must declare num_classes")
-                num_classes = int(meta["num_classes"])
+                try:
+                    num_classes = int(meta["num_classes"])
+                except (TypeError, ValueError, OverflowError):
+                    message = f"num_classes must be an integer, got {meta['num_classes']!r}"
+                    raise ParseError(path, line_no, message) from None
                 if num_classes < 1:
                     raise ParseError(path, line_no, f"num_classes must be >= 1, got {num_classes}")
                 names = meta.get("class_names")
                 if names is not None:
+                    if not isinstance(names, list):
+                        message = f"class_names must be a list, got {names!r}"
+                        raise ParseError(path, line_no, message)
                     class_names = [str(n) for n in names]
                 continue
             if num_classes is None:
@@ -296,7 +303,7 @@ def read_ground_truth(
             lines.append(line_no)
             try:
                 class_id = int(record["class_id"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ParseError(path, line_no, "missing or invalid class_id") from None
             if not 1 <= class_id <= num_classes:
                 raise ParseError(

@@ -319,6 +319,34 @@ class TestExitCodes:
         assert main(argv) == 2
         assert f"{bad}:{line}:" in capsys.readouterr().err
 
+    DET = '{"image_id": "i", "modality": "rgb", "bbox": [0, 0, %s, 20], "logits": [0, 1]}'
+    META = '{"meta": {"num_classes": %s}}'
+    GT = '{"image_id": "i", "bbox": [0, 0, %s, 20], "class_id": %s}'
+    HUGE = "1" + "0" * 400  # an integer too large for a float
+
+    @pytest.mark.parametrize(
+        "detection, truth, bad, line",
+        [
+            (DET % HUGE, [META % 1, GT % (10, 1)], "det", 1),
+            (DET % 10, [META % 1, GT % (HUGE, 1)], "gt", 2),
+            (DET % 10, [META % 1, GT % (10, "1e999")], "gt", 2),
+            (DET % 10, [META % "1e999", GT % (10, 1)], "gt", 1),
+            (DET % 10, [META % '"x"', GT % (10, 1)], "gt", 1),
+            (DET % 10, ['{"meta": {"num_classes": 1, "class_names": 5}}', GT % (10, 1)], "gt", 1),
+        ],
+        ids=["det-bbox-huge-int", "gt-bbox-huge-int", "class-id-1e999", "num-classes-1e999",
+             "num-classes-string", "class-names-number"],
+    )
+    def test_numbers_out_of_range_return_2_with_line(
+        self, tmp_path, capsys, detection, truth, bad, line
+    ):
+        paths = {"det": tmp_path / "det.jsonl", "gt": tmp_path / "gt.jsonl"}
+        paths["det"].write_text(detection + "\n", encoding="utf-8")
+        paths["gt"].write_text("\n".join(truth) + "\n", encoding="utf-8")
+        argv = ["eval", str(paths["det"]), str(paths["gt"]), "--out-prefix", str(tmp_path / "e")]
+        assert main(argv) == 2
+        assert f"{paths[bad]}:{line}:" in capsys.readouterr().err
+
     def test_bad_prior_returns_3(self, fig3_inputs, tmp_path):
         rgb, thermal = fig3_inputs
         out = tmp_path / "out.jsonl"

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from proben import (
     ClassScores,
     ConfigurationError,
     Detection,
+    DetectionBatch,
     FusionConfig,
     LinearFusionWeights,
     MissingVarianceError,
@@ -22,6 +25,8 @@ from proben import (
     iou,
     pool,
 )
+from proben import engine
+from proben.detections import DetectionColumns
 
 
 def det(image_id, modality, box, p, det_id, variance=None, posteriors=None):
@@ -398,3 +403,185 @@ class TestColumnFusion:
             with pytest.raises(MissingVarianceError) as got:
                 fuse_all(sets, config)
             assert str(got.value) == str(want.value)
+
+
+def sequential_clusters(batch, scores, config):
+    """The greedy loop one seed at a time, as (cluster, row) columns: the best
+    alive row seeds a cluster of itself and its alive same-class partners
+    above the threshold, keeping each modality's best; they all leave."""
+    classes = scores.argmax_foreground()
+    order = np.lexsort((batch.det_ids, classes, -scores.score, batch.image_index))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+
+    first, second, value = batch.pairs
+    hit = (value > config.iou_threshold) & (classes[first] == classes[second])
+    rows = np.concatenate((first[hit], second[hit]))
+    partners = np.concatenate((second[hit], first[hit]))
+    ranked = np.lexsort((rank[partners], rows))
+    start = np.searchsorted(rows[ranked], np.arange(len(order) + 1)).tolist()
+    partners = partners[ranked].tolist()
+
+    alive = [True] * len(order)
+    clusters = []
+    for seed in order.tolist():
+        if not alive[seed]:
+            continue
+        overlap = [seed] + [j for j in partners[start[seed] : start[seed + 1]] if alive[j]]
+        for j in overlap:
+            alive[j] = False
+        if config.score_fusion == "max":
+            clusters.append([seed])
+        else:
+            best = {}
+            for i in overlap:
+                best.setdefault(batch.modalities[i], i)
+            clusters.append(list(best.values()))
+    cluster = [c for c, members in enumerate(clusters) for _ in members]
+    return cluster, [i for members in clusters for i in members]
+
+
+def tied_scene(seed, images=4, modalities=("a", "b", "c"), num_classes=3):
+    """A few close objects per image, each seen several times per modality,
+    with small integer logits so that many scores tie exactly; det_ids are
+    shuffled so that the det_id tie-break differs from input order."""
+    rng = np.random.default_rng(seed)
+    image_ids, names, boxes, logits = [], [], [], []
+    for image in range(images):
+        for _ in range(int(rng.integers(1, 6))):
+            x, y = rng.uniform(0, 60, size=2)
+            cls = int(rng.integers(1, num_classes + 1))
+            for _ in range(int(rng.integers(1, 7))):
+                image_ids.append(f"im{image}")
+                names.append(modalities[int(rng.integers(len(modalities)))])
+                boxes.append([x + rng.normal(0, 3), y + rng.normal(0, 3),
+                              20 + rng.normal(0, 2), 30 + rng.normal(0, 2)])
+                row = rng.integers(-2, 3, num_classes + 1).astype(float)
+                row[cls] += 2
+                logits.append(row)
+    n = len(boxes)
+    return DetectionColumns(image_ids, names, np.array(boxes), np.full(n, np.nan),
+                            ClassScores.from_logits(np.array(logits)), rng.permutation(n))
+
+
+def one_image(boxes, posteriors, modalities):
+    n = len(boxes)
+    return DetectionColumns(["i"] * n, list(modalities), np.asarray(boxes, float),
+                            np.full(n, np.nan), ClassScores.from_posteriors(posteriors),
+                            np.arange(n))
+
+
+@lru_cache(maxsize=None)
+def staircase():
+    """3000 boxes in a row, each overlapping only the next above 0.5 (IoU
+    7/13; 1/4 with the one after), scores falling along the row: the greedy
+    loop alternates seed and member, so every row waits for the one before."""
+    n = 3000
+    boxes = np.c_[np.arange(n) * 3.0, np.zeros(n), np.full(n, 10.0), np.full(n, 10.0)]
+    p = 0.9 - np.arange(n) * 1e-4
+    return DetectionBatch([one_image(boxes, np.c_[1 - p, p], ["rgb", "thermal"] * (n // 2))])
+
+
+def clique(seed):
+    """200 near-identical boxes on one object, of 3 modalities, with tied scores."""
+    rng = np.random.default_rng(seed)
+    n = 200
+    boxes = np.c_[rng.normal(100, 0.3, (n, 2)), rng.normal(40, 0.1, (n, 2))]
+    p = rng.integers(1, 10, n) / 10
+    return DetectionBatch([one_image(boxes, np.c_[1 - p, p], ["a", "b", "c", "a"] * (n // 4))])
+
+
+WEIGHTS = LinearFusionWeights({m: [1.0] * 4 for m in ("a", "b", "c", "rgb", "thermal")})
+
+
+class TestClustersEqualTheSequentialLoop:
+    """``engine._clusters`` (seeds decided in rounds over every image at once)
+    gives the (cluster, row) columns of the greedy loop, in its order."""
+
+    def check(self, batch, config):
+        scores = engine._calibrated(batch, config.calibration)
+        cluster, row = engine._clusters(batch, scores, config)
+        want_cluster, want_row = sequential_clusters(batch, scores, config)
+        assert cluster.tolist() == want_cluster
+        assert row.tolist() == want_row
+        return len(want_row)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("score_fusion", engine.SCORE_FUSION_MODES)
+    def test_random_scenes_with_tied_scores(self, score_fusion, threshold):
+        for seed in range(20):
+            config = FusionConfig(
+                iou_threshold=threshold,
+                score_fusion=score_fusion,
+                weights=WEIGHTS,
+                calibration={"b": CalibrationParams(temperature=2.0, shift=-0.5)},
+            )
+            self.check(DetectionBatch([tied_scene(seed)]), config)
+
+    @pytest.mark.parametrize("score_fusion", ["max", "proben"])
+    def test_clique(self, score_fusion):
+        for seed in range(3):
+            config = FusionConfig(iou_threshold=0.5, score_fusion=score_fusion)
+            members = self.check(clique(seed), config)
+            assert members == (1 if score_fusion == "max" else 3)
+
+    @pytest.mark.parametrize("score_fusion", ["max", "avg-logits"])
+    def test_staircase(self, score_fusion):
+        config = FusionConfig(iou_threshold=0.5, score_fusion=score_fusion)
+        members = self.check(staircase(), config)
+        assert members == (1500 if score_fusion == "max" else 3000)
+
+    @pytest.mark.parametrize("score_fusion", engine.SCORE_FUSION_MODES)
+    def test_empty_batch_and_single_detection(self, score_fusion):
+        config = FusionConfig(score_fusion=score_fusion, weights=WEIGHTS)
+        assert self.check(DetectionBatch([]), config) == 0
+        single = one_image([[0, 0, 5, 5]], [[0.3, 0.7]], ["rgb"])
+        assert self.check(DetectionBatch([single]), config) == 1
+
+
+def sequential_seeds(parent, child, n):
+    """Row by row in rank order (row index here): a seed iff no parent is."""
+    parents = [[] for _ in range(n)]
+    for p, c in zip(parent.tolist(), child.tolist()):
+        parents[c].append(p)
+    seed = []
+    for row in range(n):
+        seed.append(not any(seed[p] for p in parents[row]))
+    return seed
+
+
+class TestSeedRounds:
+    def test_a_row_decided_twice_in_one_round_counts_once(self):
+        # rows 0 and 1 both beat row 3 in one round. Row 5 must then wait for
+        # its other parent, row 4, a seed only from the round after (0 -> 2 -> 4)
+        parent = np.array([0, 1, 0, 2, 3, 4])
+        child = np.array([3, 3, 2, 4, 5, 5])
+        assert engine._seeds(parent, child, 6).tolist() == [True, True, False, False, True, False]
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            a, b = rng.integers(0, n, (2, int(rng.integers(0, 4 * n))))
+            edges = np.unique(np.c_[np.minimum(a, b), np.maximum(a, b)][a != b], axis=0)
+            parent, child = edges.T if len(edges) else (np.zeros(0, int), np.zeros(0, int))
+            assert engine._seeds(parent, child, n).tolist() == sequential_seeds(parent, child, n)
+
+
+def test_pairs_made_in_blocks_equal_one_block(monkeypatch):
+    for seed in range(5):
+        scene = tied_scene(seed)
+        whole = DetectionBatch([scene]).pairs
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_PAIR_BLOCK", 5)  # rows with more pairs than a block too
+            blocked = DetectionBatch([scene]).pairs
+        assert len(whole[0]) > 20
+        for a, b in zip(whole, blocked):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+def test_more_modalities_than_the_bitmask_holds_rejected():
+    sets = [one_image([[0, 0, 5, 5]], [[0.3, 0.7]], [f"m{k}"]) for k in range(65)]
+    with pytest.raises(ConfigurationError, match="at most 64 modalities"):
+        DetectionBatch(sets)
+    (fused,) = fuse_all(sets[:64], FusionConfig())  # the 64th name sets the sign bit
+    assert fused.modality == "+".join(sorted(f"m{k}" for k in range(64)))

@@ -391,7 +391,7 @@ def reference_read_detections(path, modality_override=None, num_classes=None, st
                 raise ParseError(path, line_no, f"bbox must be [x, y, w, h], got {raw!r}")
             try:
                 box = BBox(*[float(v) for v in raw])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, f"invalid bbox: {exc}") from exc
             present = [k for k in ("logits", "posteriors", "score") if k in record]
             if len(present) != 1:
@@ -464,10 +464,18 @@ def reference_read_ground_truth(path):
                 meta = record["meta"]
                 if not isinstance(meta, dict) or "num_classes" not in meta:
                     raise ParseError(path, line_no, "meta record must declare num_classes")
-                num_classes = int(meta["num_classes"])
+                try:
+                    num_classes = int(meta["num_classes"])
+                except (TypeError, ValueError, OverflowError):
+                    message = f"num_classes must be an integer, got {meta['num_classes']!r}"
+                    raise ParseError(path, line_no, message) from None
                 if num_classes < 1:
                     raise ParseError(path, line_no, f"num_classes must be >= 1, got {num_classes}")
                 if meta.get("class_names") is not None:
+                    if not isinstance(meta["class_names"], list):
+                        raise ParseError(
+                            path, line_no, f"class_names must be a list, got {meta['class_names']!r}"
+                        )
                     class_names = [str(n) for n in meta["class_names"]]
                 continue
             if num_classes is None:
@@ -488,11 +496,11 @@ def reference_read_ground_truth(path):
                 raise ParseError(path, line_no, f"bbox must be [x, y, w, h], got {raw!r}")
             try:
                 box = BBox(*[float(v) for v in raw])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, f"invalid bbox: {exc}") from exc
             try:
                 class_id = int(record["class_id"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ParseError(path, line_no, "missing or invalid class_id") from None
             if not 1 <= class_id <= num_classes:
                 raise ParseError(path, line_no, f"class_id {class_id} out of range 1..{num_classes}")
@@ -670,7 +678,12 @@ class TestColumnReaders:
     def test_ground_truth_equals_the_record_by_record_reader(self, tmp_path, data):
         lines = []
         if data.draw(st.integers(0, 9)):
-            lines.append(json.dumps({"meta": {"num_classes": data.draw(st.integers(0, 3))}}))
+            num_classes = st.integers(0, 3) | st.sampled_from([math.inf, "x"])
+            meta = {"num_classes": data.draw(num_classes)}
+            names = data.draw(st.sampled_from([None, ["a", "b", "c"], 5, "ab"]))
+            if names is not None:
+                meta["class_names"] = names
+            lines.append(json.dumps({"meta": meta}))
         for _ in range(data.draw(st.integers(0, 8))):
             record = {"image_id": data.draw(st.text(min_size=1, max_size=3) | st.integers(0, 5))}
             tag = data.draw(st.sampled_from([None, "day", "night", "dusk"]))
@@ -681,7 +694,7 @@ class TestColumnReaders:
                 if data.draw(st.integers(0, 3)) == 0:
                     box = BOX_FAULTS[data.draw(st.sampled_from(sorted(BOX_FAULTS)))](box)
                 record["bbox"] = box
-                record["class_id"] = data.draw(st.sampled_from([1, 2, 3, 0, "x", None]))
+                record["class_id"] = data.draw(st.sampled_from([1, 2, 3, 0, "x", None, math.inf]))
                 if data.draw(st.booleans()):
                     record["ignore"] = data.draw(st.booleans())
             line = json.dumps(record)

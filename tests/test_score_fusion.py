@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -312,13 +313,16 @@ class TestCalibrateScores:
         st.floats(min_value=-5, max_value=5),
     )
     @example(ps=[0.010000000000000002, 0.01], t=1.0, b=0.0)  # a 1-ulp tie
+    @example(ps=[0.99, 0.98], t=0.1, b=0.0)  # both calibrate to exactly 1.0
     def test_preserves_ranking_within_modality(self, ps, t, b):
+        # Calibration never reverses two scores, but float64 cannot keep
+        # every gap: log loses a 1-ulp one, and a sharp T rounds both to 1.0.
         params = CalibrationParams(temperature=t, shift=b)
-        raw = [binary(p) for p in ps]
-        calibrated = [calibrate_scores(s, params) for s in raw]
-        raw_order = np.argsort([s.score for s in raw], kind="stable")
-        cal_order = np.argsort([s.score for s in calibrated], kind="stable")
-        assert list(raw_order) == list(cal_order)
+        raw = [binary(p).score for p in ps]
+        calibrated = [calibrate_scores(binary(p), params).score for p in ps]
+        for i, j in itertools.permutations(range(len(ps)), 2):
+            if raw[i] < raw[j]:
+                assert calibrated[i] <= calibrated[j]
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):
