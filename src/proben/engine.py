@@ -129,23 +129,37 @@ class DetectionBatch:
         self.variances = columns.variances
         self.scores = columns.scores
 
-        # every same-image pair i < j: row i pairs with the `later` rows after
-        # it up to the end of its image. Blocks of rows with about
-        # _PAIR_BLOCK pairs each bound the memory a crowded image takes.
-        sizes = np.bincount(self.image_index, minlength=len(self.image_ids))
-        rows = np.arange(len(order))
-        later = np.repeat(np.cumsum(sizes, dtype=np.int64), sizes) - rows - 1
-        before = np.cumsum(later) - later  # pairs of the rows ahead of each row
+        # every same-image pair of overlapping boxes. Boxes overlap only if
+        # their x-extents meet, so with each image's rows sorted by x1, the
+        # row at sorted position p pairs with the later ones whose x1 lies
+        # below its x2, or equals its x1 where x2 rounds to x1 (an equal box
+        # still has IoU 1). x values are ranked together, so that one key
+        # sorts by image, then x1. Blocks of about _PAIR_BLOCK pairs each
+        # bound the memory a crowded image takes.
+        n = len(order)
+        x1 = self.boxes[:, 0]
+        edges, rank = np.unique(np.concatenate((x1, x1 + self.boxes[:, 2])), return_inverse=True)
+        offset = self.image_index * (len(edges) + 1)
+        key = offset + rank[:n]
+        by_x = np.argsort(key, kind="stable")
+        end = np.searchsorted(key[by_x], (offset + np.maximum(rank[n:], rank[:n] + 1))[by_x])
+        position = np.arange(n)
+        later = end - position - 1
+        before = np.cumsum(later) - later  # pairs of the positions ahead of each one
         starts = np.searchsorted(before, np.arange(0, max(later.sum(), 1), _PAIR_BLOCK))
         pairs = []
-        for lo, hi in zip(starts, [*starts[1:], len(rows)]):
-            block, count = rows[lo:hi], later[lo:hi]
-            first = np.repeat(block, count)
-            second = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - block - 1, count)
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            block, count = position[lo:hi], later[lo:hi]
+            a = by_x[np.repeat(block, count)]
+            ahead = np.repeat(np.cumsum(count) - count - block - 1, count)
+            b = by_x[np.arange(count.sum()) - ahead]
+            first, second = np.minimum(a, b), np.maximum(a, b)
             value = box_iou(self.boxes[first], self.boxes[second])
             keep = value > 0.0
             pairs.append((first[keep], second[keep], value[keep]))
-        self.pairs = tuple(np.concatenate(column) for column in zip(*pairs))
+        first, second, value = (np.concatenate(column) for column in zip(*pairs))
+        kept = np.lexsort((second, first))  # rows i < j, by i then j
+        self.pairs = (first[kept], second[kept], value[kept])
 
 
 @dataclass(frozen=True)

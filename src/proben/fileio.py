@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -231,23 +231,77 @@ def read_detections(
     )
 
 
+class _JsonText(str):
+    """A value already in ``json``'s spelling: ``%r`` writes it as it is."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _respelled(values: list, cells) -> list:
+    """values, with the given cells in ``json``'s spelling."""
+    for i in cells:
+        values[i] = _JsonText(json.dumps(values[i]))
+    return values
+
+
+def _float_cells(column: np.ndarray) -> list:
+    """A float column for ``%r``, which spells a finite float as ``json`` does
+    and NaN and the infinities otherwise."""
+    return _respelled(column.tolist(), np.flatnonzero(~np.isfinite(column)).tolist())
+
+
+def _number_cells(values: list) -> list:
+    """Numbers as ``GroundTruth`` holds them, for ``%r``, which spells bools
+    and float or int subclasses otherwise than ``json``."""
+    if set(map(type, values)) <= {float, int}:
+        return values
+    return _respelled(values, [i for i, v in enumerate(values) if type(v) not in (float, int)])
+
+
+def _json_strings(values) -> list:
+    """``json.dumps`` of each value, each distinct one encoded once."""
+    text = {value: json.dumps(value) for value in set(values)}
+    return list(map(text.__getitem__, values))
+
+
+def _distinct_texts(column: np.ndarray, spell) -> list:
+    """spell(value) for each value of a float column, each distinct bit
+    pattern spelled once (so ``-0.0`` keeps its sign)."""
+    bits = np.ascontiguousarray(column, dtype=float).view(np.int64)
+    keys, index = np.unique(bits, return_inverse=True)
+    texts = np.array([spell(v) for v in keys.view(float).tolist()], dtype=object)
+    return texts[index].tolist()
+
+
+def _variance_suffix(variance: float) -> str:
+    return "" if math.isnan(variance) else f', "box_variance": {variance!r}'
+
+
 def write_detections(path, detections) -> None:
-    """Write ``DetectionColumns`` (or a ``Detection`` sequence), one record a line."""
+    """Write ``DetectionColumns`` (or a ``Detection`` sequence), one record a line.
+
+    The bytes are those of one ``json.dumps`` call per record. Rows are
+    rendered from one ``%``-template, a column at a time: each distinct
+    image id, modality and box variance is encoded once, and floats go
+    through ``%r``.
+    """
     detections = DetectionColumns.of(detections)
-    lines = []
-    for image_id, modality, box, logits, variance in zip(
-        detections.image_id,
-        detections.modality,
-        detections.boxes.tolist(),
-        detections.scores.logits.tolist(),
-        detections.variances.tolist(),
-    ):
-        record = {"image_id": image_id, "modality": modality, "bbox": box, "logits": logits}
-        if not math.isnan(variance):
-            record["box_variance"] = variance
-        lines.append(json.dumps(record) + "\n")
+    logits = detections.scores.logits
+    template = (
+        '{"image_id": %s, "modality": %s, "bbox": [%r, %r, %r, %r], "logits": ['
+        + ", ".join(["%r"] * logits.shape[1])
+        + "]%s}\n"
+    )
+    columns = [
+        _json_strings(detections.image_id),
+        _json_strings(detections.modality),
+        *map(_float_cells, detections.boxes.T),
+        *map(_float_cells, logits.T),
+        _distinct_texts(detections.variances, _variance_suffix),
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.writelines(map(template.__mod__, zip(*columns)))
 
 
 def read_ground_truth(
@@ -333,33 +387,39 @@ def write_ground_truth(
     tags: Dict[str, str],
     num_classes: int,
     class_names: Optional[Sequence[str]] = None,
-):
+) -> None:
+    """Write a meta header, one record per box and one per tagged image
+    without a box (sorted), with the bytes of one ``json.dumps`` call per
+    record. A box record carries ``"ignore": true`` where set, and the
+    first box of a tagged image carries its tag."""
+    meta = {"num_classes": num_classes}
+    if class_names is not None:
+        meta["class_names"] = list(class_names)
+    images = [g.image_id for g in gts]
+    numbers = [(g.box.x, g.box.y, g.box.w, g.box.h, g.class_id) for g in gts]
+    suffixes = [', "ignore": true' if g.ignore else "" for g in gts]
+    tag_of = dict(zip(tags, _json_strings(tags.values())))
+    first_box = {image_id: i for i, image_id in reversed(list(enumerate(images)))}
+    for image_id, i in first_box.items():
+        if image_id in tag_of:
+            suffixes[i] += f', "tag": {tag_of[image_id]}'
+    columns = [_json_strings(images), *map(_number_cells, map(list, zip(*numbers))), suffixes]
+    boxless = sorted(set(tags) - set(first_box))
     with open(path, "w", encoding="utf-8") as fh:
-        meta = {"num_classes": num_classes}
-        if class_names is not None:
-            meta["class_names"] = list(class_names)
         fh.write(json.dumps({"meta": meta}) + "\n")
-        covered = set()
-        for g in gts:
-            record = {
-                "image_id": g.image_id,
-                "bbox": g.box.as_list(),
-                "class_id": g.class_id,
-            }
-            if g.ignore:
-                record["ignore"] = True
-            if g.image_id in tags and g.image_id not in covered:
-                record["tag"] = tags[g.image_id]
-                covered.add(g.image_id)
-            fh.write(json.dumps(record) + "\n")
-        gt_images = {g.image_id for g in gts}
-        for image_id in sorted(set(tags) - gt_images):
-            fh.write(json.dumps({"image_id": image_id, "tag": tags[image_id]}) + "\n")
+        template = '{"image_id": %s, "bbox": [%r, %r, %r, %r], "class_id": %r%s}\n'
+        fh.writelines(map(template.__mod__, zip(*columns)))
+        fh.writelines(
+            '{"image_id": %s, "tag": %s}\n' % (json.dumps(image_id), tag_of[image_id])
+            for image_id in boxless
+        )
 
 
 def write_curves_csv(path, columns: Tuple[str, str], first: List[float], second: List[float]):
-    """A two-column CSV of equal-length float lists, written in one call."""
-    rows = "".join(map("{!r},{!r}\n".format, first, second))
+    """A two-column CSV of equal-length float lists, written in one call; each
+    distinct value of a column is formatted once, with ``repr``."""
+    texts = zip(_distinct_texts(first, repr), _distinct_texts(second, repr))
+    rows = "".join(map("%s,%s\n".__mod__, texts))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{columns[0]},{columns[1]}\n{rows}")
 

@@ -233,8 +233,7 @@ def _ap_from_points(recall: np.ndarray, precision: np.ndarray) -> float:
         return 0.0
     mrec = np.concatenate(([0.0], recall, [recall[-1]]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]  # precision envelope
     idx = np.where(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
 

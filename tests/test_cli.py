@@ -449,3 +449,39 @@ class TestNoPerRecordObjects:
 
         read_detections(inputs[0]).to_detections()
         assert "Detection" in built and "BBox" in built
+
+
+def test_kaist_like_fuse_and_eval_outputs_are_pinned(tmp_path):
+    """What ``proben fuse`` (three score x box modes) and ``proben eval
+    --breakdown --curves`` write on the seed-0, 400-image preset, by sha256
+    prefix: the JSONL and CSV writers must not change a byte."""
+    import hashlib
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+
+    assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0", "--images", "400"]) == 0
+    inputs = [str(tmp_path / "det_rgb.jsonl"), str(tmp_path / "det_thermal.jsonl")]
+    fused = {}
+    for score, box in [("proben", "v-avg"), ("max", "argmax"), ("pooling", "avg")]:
+        out = tmp_path / f"fused-{score}.jsonl"
+        argv = ["fuse", *inputs, "--out", str(out), "--score-fusion", score, "--box-fusion", box]
+        assert main(argv) == 0
+        fused[score] = digest(out)
+    assert fused == {"proben": "fc0df6c5638a", "max": "644eacfc2964", "pooling": "9bb69f9a46fe"}
+
+    prefix = tmp_path / "report" / "eval"
+    prefix.parent.mkdir()
+    argv = ["eval", str(tmp_path / "fused-proben.jsonl"), str(tmp_path / "gt.jsonl"),
+            "--breakdown", "--curves", "--out-prefix", str(prefix)]
+    assert main(argv) == 0
+    assert {p.name: digest(p) for p in sorted(prefix.parent.iterdir())} == {
+        "eval.all.class1.pr.csv": "d8afb0839df9",
+        "eval.all.miss_fppi.csv": "c639b29917b5",
+        "eval.day.class1.pr.csv": "c1a5984b914c",
+        "eval.day.miss_fppi.csv": "063ebaa7b4de",
+        "eval.json": "91a980213237",
+        "eval.night.class1.pr.csv": "5ffe55579f44",
+        "eval.night.miss_fppi.csv": "431ae33f5dcd",
+        "eval.txt": "dcbd71542c8f",
+    }

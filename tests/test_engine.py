@@ -1,3 +1,4 @@
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -578,6 +579,66 @@ def test_pairs_made_in_blocks_equal_one_block(monkeypatch):
         assert len(whole[0]) > 20
         for a, b in zip(whole, blocked):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def all_pairs(batch):
+    """Every same-image pair of rows i < j, by i then j, with its IoU, kept
+    where the IoU is above 0."""
+    first, second = np.triu_indices(len(batch.image_index), k=1)
+    same = batch.image_index[first] == batch.image_index[second]
+    first, second = first[same], second[same]
+    value = engine.box_iou(batch.boxes[first], batch.boxes[second])
+    keep = value > 0.0
+    return first[keep], second[keep], value[keep]
+
+
+def stacked_boxes(n=400):
+    """Boxes of one x-extent stacked down the image: every pair is a
+    candidate of the x sweep, and each box overlaps the next three only."""
+    boxes = np.c_[np.zeros(n), np.arange(n) * 3.0, np.full(n, 10.0), np.full(n, 10.0)]
+    p = np.full(n, 0.6)
+    return DetectionBatch([one_image(boxes, np.c_[1 - p, p], ["rgb", "thermal"] * (n // 2))])
+
+
+def narrow_far_boxes():
+    """Widths that x + w rounds away (x2 == x1), equal boxes among them, and
+    boxes that only touch along an edge, over two images."""
+    boxes = [[1e20, 0, 1, 5], [1e20, 0, 1, 5], [1e20, 1, 1, 5], [0, 0, 5, 5],
+             [5, 0, 5, 5], [4.5, 0, 5, 5], [-0.0, 0, 5, 5], [0.0, 0, 5, 5]]
+    n = len(boxes)
+    p = np.full(n, 0.7)
+    scene = one_image(boxes, np.c_[1 - p, p], ["rgb", "thermal"] * (n // 2))
+    other = dataclasses.replace(scene, image_id=["j"] * n, det_id=np.arange(n, 2 * n))
+    return DetectionBatch([scene, other])
+
+
+class TestPairsEqualAllPairs:
+    """The x sweep keeps exactly the pairs, in the order, that computing the
+    IoU of every same-image pair keeps."""
+
+    def check(self, batch):
+        for got, want in zip(batch.pairs, all_pairs(batch)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return len(batch.pairs[0])
+
+    def test_random_scenes(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dets = [d for k in range(3) for d in random_detections(rng, 30, f"im{k}", num_classes=3)]
+            self.check(DetectionBatch([dets, tied_scene(seed)]))
+
+    def test_staircase(self):
+        assert self.check(staircase()) == 3 * 3000 - 6  # each box and the next three
+
+    def test_vertical_stack(self):
+        assert self.check(stacked_boxes()) == 3 * 400 - 6
+
+    def test_narrow_far_and_touching_boxes(self):
+        assert self.check(narrow_far_boxes()) > 0
+
+    def test_empty_batch(self):
+        assert self.check(DetectionBatch([])) == 0
+
 
 def test_more_modalities_than_the_bitmask_holds_rejected():
     sets = [one_image([[0, 0, 5, 5]], [[0.3, 0.7]], [f"m{k}"]) for k in range(65)]

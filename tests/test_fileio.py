@@ -7,10 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from proben import BBox, ClassScores, Detection, GroundTruth, InvalidScoreError, ParseError
-from proben.detections import GroundTruthColumns, check_box_variance
+from proben.detections import DetectionColumns, GroundTruthColumns, check_box_variance
 from proben.fileio import (
     read_detections,
     read_ground_truth,
+    write_curves_csv,
     write_detections,
     write_ground_truth,
 )
@@ -836,3 +837,135 @@ class TestColumnWriter:
         assert out.read_text(encoding="utf-8") == parent_writer_lines(columns.to_detections())
         write_detections(out, columns.to_detections())  # objects go through the converter
         assert out.read_text(encoding="utf-8") == parent_writer_lines(columns.to_detections())
+
+
+def test_non_finite_logits_spelled_as_json(tmp_path):
+    """A stack built directly can hold logits no reader or fusion path makes."""
+    logits = np.array([[0.0, -math.inf], [math.nan, 1.5], [math.inf, -0.0]])
+    columns = DetectionColumns(
+        ["a", "b", "c"],
+        ["rgb", "thermal", "rgb"],
+        np.array([[0.0, 0.0, 1.0, 1.0], [-0.0, 2.5, 1e16, 1e-7], [3.0, 4.0, 5.0, 6.0]]),
+        np.array([math.nan, 2.0, 1e-300]),
+        ClassScores(logits=logits, posteriors=np.full_like(logits, 0.5)),
+        np.arange(3),
+    )
+    out = tmp_path / "out.jsonl"
+    write_detections(out, columns)
+    text = out.read_text(encoding="utf-8")
+    assert text == parent_writer_lines(columns.to_detections())
+    assert "[0.0, -Infinity]" in text and "[NaN, 1.5]" in text and "[Infinity, -0.0]" in text
+
+
+def dumps_ground_truth(gts, tags, num_classes, class_names=None):
+    """What a writer of one ``json.dumps`` call per record writes."""
+    meta = {"num_classes": num_classes}
+    if class_names is not None:
+        meta["class_names"] = list(class_names)
+    lines = [json.dumps({"meta": meta})]
+    covered = set()
+    for g in gts:
+        record = {"image_id": g.image_id, "bbox": g.box.as_list(), "class_id": g.class_id}
+        if g.ignore:
+            record["ignore"] = True
+        if g.image_id in tags and g.image_id not in covered:
+            record["tag"] = tags[g.image_id]
+            covered.add(g.image_id)
+        lines.append(json.dumps(record))
+    boxed = {g.image_id for g in gts}
+    lines += [
+        json.dumps({"image_id": i, "tag": tags[i]}) for i in sorted(set(tags) - boxed)
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+IMAGE_IDS = st.sampled_from(["a", "b", "é", 'say "hi"', "back\\slash", "日本", "tab\t", "c"])
+NUMBERS = st.integers(-50, 50) | st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 1e16, 1e-7])
+EXTENT_VALUES = st.integers(1, 50) | st.floats(1e-7, 1e16)
+
+
+@st.composite
+def ground_truth_case(draw):
+    gts = [
+        GroundTruth(
+            draw(IMAGE_IDS),
+            BBox(draw(NUMBERS), draw(NUMBERS), draw(EXTENT_VALUES), draw(EXTENT_VALUES)),
+            draw(st.integers(1, 3)),
+            ignore=draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    tags = draw(st.dictionaries(IMAGE_IDS, st.sampled_from(["day", "night"]), max_size=6))
+    class_names = draw(st.none() | st.just(["person", "car", 'say "x"']))
+    return gts, tags, class_names
+
+
+class TestGroundTruthWriter:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ground_truth_case())
+    def test_bytes_equal_one_dumps_per_record(self, tmp_path, case):
+        gts, tags, class_names = case
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(path, gts, tags, 3, class_names=class_names)
+        assert path.read_text(encoding="utf-8") == dumps_ground_truth(gts, tags, 3, class_names)
+
+    def test_every_record_layout(self, tmp_path):
+        gts = [
+            GroundTruth("a", BBox(0, 0, 10, 55.5), 1),
+            GroundTruth('q"é', BBox(5.0, -0.0, 1e16, 1e-7), 2, ignore=True),
+            GroundTruth("a", BBox(1, 1, 8, 70), 1, ignore=True),
+            GroundTruth("b", BBox(1.5, 2.5, 3.5, 4.5), 3),
+        ]
+        tags = {"a": "day", 'q"é': "night", "z": "night", "y": "day"}
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(path, gts, tags, 3)
+        text = path.read_text(encoding="utf-8")
+        assert text == dumps_ground_truth(gts, tags, 3)
+        assert text.splitlines()[1:] == [
+            '{"image_id": "a", "bbox": [0, 0, 10, 55.5], "class_id": 1, "tag": "day"}',
+            '{"image_id": "q\\"\\u00e9", "bbox": [5.0, -0.0, 1e+16, 1e-07], "class_id": 2, '
+            '"ignore": true, "tag": "night"}',
+            '{"image_id": "a", "bbox": [1, 1, 8, 70], "class_id": 1, "ignore": true}',
+            '{"image_id": "b", "bbox": [1.5, 2.5, 3.5, 4.5], "class_id": 3}',
+            '{"image_id": "y", "tag": "day"}',
+            '{"image_id": "z", "tag": "night"}',
+        ]
+
+    def test_bool_and_float_subclass_coordinates_spelled_as_json(self, tmp_path):
+        gts = [GroundTruth("a", BBox(True, np.float64(0.1), 2, np.float64(3.0)), 1)]
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(path, gts, {}, 1)
+        assert path.read_text(encoding="utf-8") == dumps_ground_truth(gts, {}, 1)
+
+
+CURVE_VALUES = st.sampled_from(
+    [0.0, -0.0, 0.5, 1e16, 1e-7, math.nan, math.inf, -math.inf]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestCurvesWriter:
+    @staticmethod
+    def repr_rows(first, second):
+        return "x,y\n" + "".join(map("{!r},{!r}\n".format, first, second))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([], []),
+            ([0.5, 0.5, 0.25, 0.5], [1.0, 1.0, 1.0, 0.0]),
+            ([-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0]),
+            ([1e16, 1e-7, 1e16, 1e-7], [math.nan, math.inf, -math.inf, math.nan]),
+        ],
+    )
+    def test_equals_repr_rows(self, tmp_path, first, second):
+        path = tmp_path / "curve.csv"
+        write_curves_csv(path, ("x", "y"), first, second)
+        assert path.read_text(encoding="utf-8") == self.repr_rows(first, second)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(CURVE_VALUES, CURVE_VALUES), max_size=30))
+    def test_random_curves_equal_repr_rows(self, tmp_path, points):
+        first, second = [x for x, _ in points], [y for _, y in points]
+        path = tmp_path / "curve.csv"
+        write_curves_csv(path, ("x", "y"), first, second)
+        assert path.read_text(encoding="utf-8") == self.repr_rows(first, second)

@@ -169,6 +169,34 @@ class TestAveragePrecision:
             assert got == pytest.approx(want, abs=1e-9), f"seed {seed}"
 
 
+def loop_envelope_ap(recall, precision):
+    """All-point AP with the precision envelope filled by a backward loop."""
+    if len(recall) == 0:
+        return 0.0
+    mrec = np.concatenate(([0.0], recall, [recall[-1]]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    idx = np.where(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
+
+
+# few distinct values, so that ties and zeros are common
+PR_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestApEnvelope:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(PR_VALUES, PR_VALUES), max_size=40))
+    @example([])
+    @example([(0.0, 0.0), (0.0, 0.0)])
+    @example([(0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 0.5)])
+    def test_equals_the_backward_loop(self, points):
+        recall = np.sort(np.array([r for r, _ in points], dtype=float))
+        precision = np.array([p for _, p in points], dtype=float)
+        assert metrics._ap_from_points(recall, precision) == loop_envelope_ap(recall, precision)
+
+
 class TestLamr:
     def test_perfect_detector_floors_to_zero(self):
         dets = [det(f"im{j}", B, 0.9, j) for j in range(3)]
