@@ -157,21 +157,90 @@ class TestGenerate:
         assert generated == read == list(range(len(read)))
 
 
-def test_kaist_like_files_are_pinned(tmp_path):
-    """The written files of the seed-0, 400-image preset, by sha256 prefix (as
-    listed in perfbench/README.md): stacking the softmax per modality and
-    writing columns must not change a byte."""
+def synth_digests(out_dir, *argv):
+    """sha256 prefix of each file ``proben synth`` writes to out_dir."""
     import hashlib
 
     from proben.cli import main
 
-    assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0", "--images", "400"]) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:12]
-        for name in ("gt.jsonl", "det_rgb.jsonl", "det_thermal.jsonl")
+    assert main(["synth", "--out-dir", str(out_dir), *argv]) == 0
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+        for path in sorted(out_dir.iterdir())
     }
-    assert digests == {
+
+
+def test_kaist_like_files_are_pinned(tmp_path):
+    """The written files of the seed-0, 400-image preset, by sha256 prefix (as
+    listed in perfbench/README.md): stacking the softmax per modality and
+    writing columns must not change a byte."""
+    assert synth_digests(tmp_path, "--seed", "0", "--images", "400") == {
         "gt.jsonl": "ff795c6f550a",
         "det_rgb.jsonl": "2c60153b202b",
         "det_thermal.jsonl": "004c66fdf31c",
     }
+
+
+def test_kaist_2k_files_are_pinned(tmp_path):
+    """The ``kaist-2k`` benchmark inputs at seed 0, as listed in perfbench/README.md."""
+    assert synth_digests(tmp_path, "--seed", "0", "--images", "2000") == {
+        "gt.jsonl": "8d72916b4aa8",
+        "det_rgb.jsonl": "b86cd064b846",
+        "det_thermal.jsonl": "d963324ea15d",
+    }
+
+
+def test_four_modality_preset_files_are_pinned(tmp_path):
+    argv = ("--seed", "0", "--images", "400", "--modalities", "4")
+    assert synth_digests(tmp_path, *argv) == {
+        "gt.jsonl": "e6937ff28c29",
+        "det_rgb.jsonl": "c9901fddfffa",
+        "det_thermal.jsonl": "cbc9cf566521",
+        "det_aux1.jsonl": "a39b7e872732",
+        "det_aux2.jsonl": "1107927f99f6",
+    }
+
+
+def profile_json(recall, fp_rate, tp, loc_noise, **extra):
+    return dict(recall=recall, fp_rate=fp_rate, tp_concentration=tp,
+                fp_concentration=1.0, loc_noise=loc_noise, **extra)
+
+
+# Three classes and ignore regions; rgb reports noisy variances by day,
+# thermal reports exact boxes (no perturbation draw) in both scenes.
+PINNED_SPEC = {
+    "seed": 5,
+    "image_count": 60,
+    "num_classes": 3,
+    "image_size": [320, 240],
+    "objects_per_image": 3.0,
+    "night_fraction": 0.5,
+    "ignore_fraction": 0.25,
+    "class_names": ["person", "car", "bike"],
+    "profiles": {
+        "rgb": {
+            "day": profile_json(0.9, 0.6, 3.0, 2.5, variance_noise=0.4),
+            "night": profile_json(0.6, 1.2, 1.5, 5.0),
+        },
+        "thermal": {
+            "day": dict(profile_json(0.7, 0.8, 2.0, 0), fp_concentration=0.5),
+            "night": dict(profile_json(0.95, 0.3, 3.5, 0, variance_noise=0.3),
+                          fp_concentration=0.5),
+        },
+    },
+}
+
+
+def test_spec_scenario_files_are_pinned(tmp_path):
+    import json
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(PINNED_SPEC))
+    digests = synth_digests(tmp_path / "out", "--spec", str(spec))
+    assert digests == {
+        "gt.jsonl": "55894c1c0613",
+        "det_rgb.jsonl": "83237361c81e",
+        "det_thermal.jsonl": "98f2f5e17dca",
+    }
+    gt = (tmp_path / "out" / "gt.jsonl").read_text()
+    assert '"ignore": true' in gt and '"class_id": 3' in gt
