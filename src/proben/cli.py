@@ -241,19 +241,31 @@ def cmd_calibrate(args) -> int:
 def _spec_from_json(path) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+
+    def require(ok: bool, what: str, value) -> None:
+        if not ok:
+            raise ConfigurationError(f"invalid scenario spec: {what}, got {value!r}")
+
+    require(isinstance(payload, dict), "the spec must be a JSON object", payload)
+    shape = "profiles must map modality -> tag -> profile object"
+    raw = payload.pop("profiles", None)
+    require(isinstance(raw, dict), shape, raw)
+    for by_tag in raw.values():
+        require(isinstance(by_tag, dict), shape, by_tag)
+        for profile in by_tag.values():
+            require(isinstance(profile, dict), shape, profile)
+    for key in ("class_names", "image_size"):
+        value = payload.get(key)
+        require(value is None or isinstance(value, list), f"{key} must be a list", value)
+        if value is not None:
+            payload[key] = tuple(value)
     try:
         profiles = {
-            modality: {
-                tag: ModalityProfile(**profile) for tag, profile in by_tag.items()
-            }
-            for modality, by_tag in payload.pop("profiles").items()
+            modality: {tag: ModalityProfile(**profile) for tag, profile in by_tag.items()}
+            for modality, by_tag in raw.items()
         }
-        if "class_names" in payload and payload["class_names"] is not None:
-            payload["class_names"] = tuple(payload["class_names"])
-        if "image_size" in payload:
-            payload["image_size"] = tuple(payload["image_size"])
         return ScenarioSpec(profiles=profiles, **payload)
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:  # a missing or unknown field
         raise ConfigurationError(f"invalid scenario spec: {exc}") from exc
 
 

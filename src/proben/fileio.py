@@ -21,7 +21,6 @@ import numpy as np
 from .detections import (
     ClassScores,
     DetectionColumns,
-    GroundTruth,
     GroundTruthColumns,
     check_box_variance,
 )
@@ -383,7 +382,7 @@ def read_ground_truth(
 
 def write_ground_truth(
     path,
-    gts: Sequence[GroundTruth],
+    gts,
     tags: Dict[str, str],
     num_classes: int,
     class_names: Optional[Sequence[str]] = None,
@@ -391,19 +390,27 @@ def write_ground_truth(
     """Write a meta header, one record per box and one per tagged image
     without a box (sorted), with the bytes of one ``json.dumps`` call per
     record. A box record carries ``"ignore": true`` where set, and the
-    first box of a tagged image carries its tag."""
+    first box of a tagged image carries its tag.
+
+    gts is ``GroundTruthColumns`` or a ``GroundTruth`` sequence, whose
+    numbers keep their own spelling (an int coordinate stays an int)."""
     meta = {"num_classes": num_classes}
     if class_names is not None:
         meta["class_names"] = list(class_names)
-    images = [g.image_id for g in gts]
-    numbers = [(g.box.x, g.box.y, g.box.w, g.box.h, g.class_id) for g in gts]
-    suffixes = [', "ignore": true' if g.ignore else "" for g in gts]
+    if isinstance(gts, GroundTruthColumns):
+        images, ignore = gts.image_id, gts.ignore.tolist()
+        numbers = [*map(_float_cells, gts.boxes.T), gts.class_id.tolist()]
+    else:
+        images, ignore = [g.image_id for g in gts], [g.ignore for g in gts]
+        rows = [(g.box.x, g.box.y, g.box.w, g.box.h, g.class_id) for g in gts]
+        numbers = list(map(_number_cells, map(list, zip(*rows))))
+    suffixes = [', "ignore": true' if flag else "" for flag in ignore]
     tag_of = dict(zip(tags, _json_strings(tags.values())))
     first_box = {image_id: i for i, image_id in reversed(list(enumerate(images)))}
     for image_id, i in first_box.items():
         if image_id in tag_of:
             suffixes[i] += f', "tag": {tag_of[image_id]}'
-    columns = [_json_strings(images), *map(_number_cells, map(list, zip(*numbers))), suffixes]
+    columns = [_json_strings(images), *numbers, suffixes]
     boxless = sorted(set(tags) - set(first_box))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": meta}) + "\n")

@@ -6,6 +6,7 @@ glance. Shared heavy fixtures (the 2000-image scenario) are computed once
 per session.
 """
 
+import dataclasses
 import math
 import time
 
@@ -213,10 +214,10 @@ class TestCriterion7CalibrationRecovery:
     def test_grid_recovers_scale_three(self, capsys):
         t0 = time.time()
         dataset = generate(kaist_like_spec(seed=1, image_count=1000))
-        miscalibrated = [
-            d.with_scores(ClassScores.from_logits(np.asarray(d.scores.logits) * 3.0))
-            for d in dataset.detections["rgb"]
-        ]
+        rgb = dataset.detections["rgb"]
+        miscalibrated = dataclasses.replace(
+            rgb, scores=ClassScores.from_logits(rgb.scores.logits * 3.0)
+        )
         sets = [miscalibrated, dataset.detections["thermal"]]
         best, surface = grid_search(
             sets,

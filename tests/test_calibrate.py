@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -38,7 +39,8 @@ def three_modalities():
     for modality in sorted(dataset.detections):
         dets = dataset.detections[modality]
         if modality == "thermal":
-            dets = [d.with_scores(ClassScores.from_posteriors(softmax(d.scores.logits))) for d in dets]
+            posteriors = ClassScores.from_posteriors(softmax(dets.scores.logits))
+            dets = dataclasses.replace(dets, scores=posteriors)
         sets.append(dets)
     return sets, dataset.ground_truths
 
@@ -76,7 +78,7 @@ def test_shared_batch_matches_fresh_fusion_at_every_point(
         weights=weights,
         calibration={"aux": CalibrationParams(temperature=0.8, shift=0.2)},
     )
-    image_ids = sorted({g.image_id for g in gts} | {d.image_id for s in sets for d in s})
+    image_ids = sorted(set(gts.image_id).union(*(s.image_id for s in sets)))
     _, surface = grid_search(
         sets,
         gts,

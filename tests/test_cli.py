@@ -243,6 +243,21 @@ class TestCalibrate:
         assert best["temperature"] == 1.0 and best["shift"] == 0.0
 
 
+SPEC = {
+    "seed": 5,
+    "image_count": 8,
+    "num_classes": 2,
+    "profiles": {
+        "rgb": {
+            "day": {"recall": 0.9, "fp_rate": 0.2, "tp_concentration": 3.0,
+                    "fp_concentration": 1.0, "loc_noise": 2.0},
+            "night": {"recall": 0.5, "fp_rate": 0.4, "tp_concentration": 2.0,
+                      "fp_concentration": 1.0, "loc_noise": 4.0},
+        }
+    },
+}
+
+
 class TestSynth:
     def dir_bytes(self, directory):
         return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
@@ -272,21 +287,8 @@ class TestSynth:
         assert "det_aux1.jsonl" in {p.name for p in out.iterdir()}
 
     def test_spec_file(self, tmp_path):
-        spec = {
-            "seed": 5,
-            "image_count": 8,
-            "num_classes": 2,
-            "profiles": {
-                "rgb": {
-                    "day": {"recall": 0.9, "fp_rate": 0.2, "tp_concentration": 3.0,
-                            "fp_concentration": 1.0, "loc_noise": 2.0},
-                    "night": {"recall": 0.5, "fp_rate": 0.4, "tp_concentration": 2.0,
-                              "fp_concentration": 1.0, "loc_noise": 4.0},
-                }
-            },
-        }
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(json.dumps(SPEC))
         out = tmp_path / "data"
         assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path)]) == 0
         assert {p.name for p in out.iterdir()} == {"gt.jsonl", "det_rgb.jsonl"}
@@ -377,6 +379,25 @@ class TestExitCodes:
         assert main(argv) == 3
         assert not out.exists()
 
+    # a bad field of a --spec file, and the word its error message names
+    BAD_SPECS = {
+        "fractional num_classes": ({"num_classes": 2.5}, "num_classes"),
+        "profiles as a list": ({"profiles": []}, "profiles"),
+        "tag profiles as a list": ({"profiles": {"rgb": []}}, "profiles"),
+        "non-numeric image_size": ({"image_size": [640, "x"]}, "image_size"),
+        "class_names of another length": ({"class_names": ["person"]}, "class_names"),
+    }
+
+    @pytest.mark.parametrize("change, named", BAD_SPECS.values(), ids=list(BAD_SPECS))
+    def test_bad_spec_returns_3(self, tmp_path, capsys, change, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(SPEC, **change)))
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_linear_without_weights_returns_3(self, fig3_inputs, tmp_path):
         rgb, thermal = fig3_inputs
         out = tmp_path / "out.jsonl"
@@ -415,12 +436,11 @@ class TestVarianceChecks:
 
 
 class TestNoPerRecordObjects:
-    def test_fuse_eval_and_calibrate_build_no_detection_box_or_ground_truth(
-        self, tmp_path, monkeypatch
-    ):
+    def count_built(self, monkeypatch):
+        """The names of the Detection, GroundTruth and BBox objects built
+        from here on, in a list that grows."""
         from proben import BBox, Detection, GroundTruth
 
-        assert main(["synth", "--out-dir", str(tmp_path), "--images", "30", "--seed", "3"]) == 0
         built = []
         for cls in (Detection, GroundTruth, BBox):
             init = cls.__init__
@@ -430,6 +450,26 @@ class TestNoPerRecordObjects:
                 init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("source", ["preset", "spec"])
+    def test_synth_builds_no_detection_box_or_ground_truth(self, tmp_path, monkeypatch, source):
+        from test_synth import PINNED_SPEC
+
+        args = ["--images", "30", "--modalities", "3"]
+        if source == "spec":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(PINNED_SPEC))
+            args = ["--spec", str(spec)]
+        built = self.count_built(monkeypatch)
+        assert main(["synth", "--out-dir", str(tmp_path / "data"), *args]) == 0
+        assert built == []
+
+    def test_fuse_eval_and_calibrate_build_no_detection_box_or_ground_truth(
+        self, tmp_path, monkeypatch
+    ):
+        assert main(["synth", "--out-dir", str(tmp_path), "--images", "30", "--seed", "3"]) == 0
+        built = self.count_built(monkeypatch)
         inputs = [str(tmp_path / "det_rgb.jsonl"), str(tmp_path / "det_thermal.jsonl")]
         gt = str(tmp_path / "gt.jsonl")
         fused = str(tmp_path / "fused.jsonl")
