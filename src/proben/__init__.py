@@ -32,12 +32,9 @@ from .metrics import (
 )
 from .score_fusion import (
     CalibrationParams,
-    LinearFusionWeights,
     calibrate_scores,
-    fit_linear_weights,
     fuse_avg_logits,
     fuse_avg_posteriors,
-    fuse_linear,
     fuse_max,
     fuse_proben,
 )
@@ -60,7 +57,6 @@ __all__ = [
     "FusionError",
     "GroundTruth",
     "InvalidScoreError",
-    "LinearFusionWeights",
     "MatchResult",
     "MissingVarianceError",
     "ModalityProfile",
@@ -72,13 +68,11 @@ __all__ = [
     "calibrate_scores",
     "convex_combination",
     "estimate_class_prior",
-    "fit_linear_weights",
     "fuse",
     "fuse_all",
     "fuse_avg_logits",
     "fuse_avg_posteriors",
     "fuse_boxes",
-    "fuse_linear",
     "fuse_max",
     "fuse_proben",
     "generate",

@@ -9,25 +9,15 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .detections import GroundTruthColumns
+from .engine import DetectionBatch, FusedColumns, FusionConfig, fuse_columns
 from .errors import ConfigurationError
+from .metrics import TruthColumns, average_precision, lamr, match_columns
 from .score_fusion import CalibrationParams
 
 # fuse_all and match_all are not called here; perfbench/tracing.py wraps
 # them under these names.
-from .engine import (  # noqa: F401
-    DetectionBatch,
-    FusedColumns,
-    FusionConfig,
-    fuse_all,
-    fuse_columns,
-)
-from .metrics import (  # noqa: F401
-    TruthColumns,
-    average_precision,
-    lamr,
-    match_all,
-    match_columns,
-)
+from .engine import fuse_all  # noqa: F401
+from .metrics import match_all  # noqa: F401
 
 
 @dataclass(frozen=True)

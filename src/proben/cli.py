@@ -1,27 +1,29 @@
 """Command-line surface: ``fuse``, ``eval``, ``calibrate`` and ``synth``.
 
-Exit codes: 0 on success, 2 on input parse errors, 3 on configuration
-errors. All commands are deterministic functions of their inputs and flags;
-randomness is confined to the synthetic generator's seed.
+Exit codes: 0 on success, 2 on an input that cannot be read or parsed, 3 on
+configuration errors and outputs that cannot be written. All commands are
+deterministic functions of their inputs and flags; randomness is confined to
+the synthetic generator's seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import json
 import os
 import re
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from .box_fusion import BOX_FUSION_MODES
 from .calibrate import GridSpec, grid_search
 from .detections import ClassPrior, DetectionColumns, estimate_class_prior
-
-# fuse_all is not called here; perfbench/tracing.py wraps it under this name.
-from .engine import DetectionBatch, FusionConfig, fuse_all, fuse_detections, pool  # noqa: F401
+from .engine import SCORE_FUSION_MODES, DetectionBatch, FusionConfig, fuse_detections, pool
 from .errors import ConfigurationError, FusionError, ParseError
 from .fileio import (
+    open_input,
     read_detections,
     read_ground_truth,
     write_curves_csv,
@@ -30,8 +32,11 @@ from .fileio import (
     write_json,
 )
 from .metrics import breakdown
-from .score_fusion import CalibrationParams, LinearFusionWeights
+from .score_fusion import CalibrationParams
 from .synth import ModalityProfile, ScenarioSpec, generate, kaist_like_spec
+
+# fuse_all is not called here; perfbench/tracing.py wraps it under this name.
+from .engine import fuse_all  # noqa: F401
 
 PARSE_ERROR = 2
 CONFIG_ERROR = 3
@@ -72,14 +77,6 @@ def _parse_prior(raw: str, gts, num_classes: int) -> Optional[ClassPrior]:
     raise ConfigurationError(f"--prior must be 'uniform' or 'counted:<bg>', got {raw!r}")
 
 
-def _load_weights(path) -> LinearFusionWeights:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ConfigurationError("weights file must hold a JSON object of modality -> vector")
-    return LinearFusionWeights(weights={str(k): v for k, v in payload.items()})
-
-
 def _read_detection_sets(paths, overrides: Dict[str, str]) -> List[DetectionColumns]:
     sets: List[DetectionColumns] = []
     next_id = 0
@@ -99,14 +96,12 @@ def _read_detection_sets(paths, overrides: Dict[str, str]) -> List[DetectionColu
 
 
 def _build_config(args, gts, num_classes) -> FusionConfig:
-    weights = _load_weights(args.weights) if args.weights else None
     return FusionConfig(
         iou_threshold=args.iou_threshold,
         score_fusion=args.score_fusion,
         box_fusion=args.box_fusion,
         prior=_parse_prior(args.prior, gts, num_classes),
         calibration=_parse_calibration(args),
-        weights=weights,
     )
 
 
@@ -239,7 +234,7 @@ def cmd_calibrate(args) -> int:
 
 
 def _spec_from_json(path) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         payload = json.load(fh)
 
     def require(ok: bool, what: str, value) -> None:
@@ -285,13 +280,29 @@ def _expanded_preset(seed: int, images: int, modalities: int) -> ScenarioSpec:
     return dataclasses.replace(spec, profiles=profiles)
 
 
+PRESET_DEFAULTS = {"seed": 0, "images": 2000, "modalities": 2}
+
+
 def cmd_synth(args) -> int:
+    given = {name: getattr(args, name) for name in PRESET_DEFAULTS}
+    given = {name: value for name, value in given.items() if value is not None}
     if args.spec:
+        if given:
+            flags = ", ".join(f"--{name}" for name in given)
+            raise ConfigurationError(f"{flags}: only a preset takes these; --spec sets its own")
         spec = _spec_from_json(args.spec)
     elif args.preset == "kaist-like":
-        spec = _expanded_preset(args.seed, args.images, args.modalities)
+        spec = _expanded_preset(**{**PRESET_DEFAULTS, **given})
     else:
         raise ConfigurationError(f"unknown preset {args.preset!r}")
+    # det_*.jsonl files of an earlier scenario, which a det_*.jsonl glob would mix in
+    found = glob.glob(os.path.join(glob.escape(args.out_dir), "det_*.jsonl"))
+    stale = sorted(p for p in found if os.path.basename(p)[4:-6] not in spec.profiles)
+    if stale:
+        raise ConfigurationError(
+            f"{stale[0]} holds detections of a modality this scenario does not write; "
+            "remove it or choose another --out-dir"
+        )
 
     dataset = generate(spec)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -318,17 +329,12 @@ def cmd_synth(args) -> int:
 def _add_fusion_flags(parser):
     parser.add_argument("--iou-threshold", type=float, default=0.5)
     parser.add_argument(
-        "--score-fusion",
-        default="proben",
-        choices=["max", "avg-posteriors", "avg-logits", "proben", "linear", "pooling"],
+        "--score-fusion", default="proben", choices=[*SCORE_FUSION_MODES, "pooling"]
     )
-    parser.add_argument(
-        "--box-fusion", default="avg", choices=["argmax", "avg", "s-avg", "v-avg"]
-    )
+    parser.add_argument("--box-fusion", default="avg", choices=BOX_FUSION_MODES)
     parser.add_argument("--prior", default="uniform")
     parser.add_argument("--temperature", action="append", metavar="MODALITY=T")
     parser.add_argument("--shift", action="append", metavar="MODALITY=B")
-    parser.add_argument("--weights", metavar="FILE")
     parser.add_argument("--modality", action="append", metavar="FILE=TAG")
     parser.add_argument("--ground-truth", metavar="FILE")
 
@@ -370,9 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out-dir", required=True)
     p_synth.add_argument("--preset", default="kaist-like")
     p_synth.add_argument("--spec", metavar="FILE")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--images", type=int, default=2000)
-    p_synth.add_argument("--modalities", type=int, default=2)
+    # preset only, defaulting to PRESET_DEFAULTS
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--images", type=int)
+    p_synth.add_argument("--modalities", type=int)
     p_synth.set_defaults(func=cmd_synth)
 
     return parser
@@ -403,6 +410,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return PARSE_ERROR
     except (ConfigurationError, FusionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
+    except OSError as exc:  # an input that cannot be opened is a ParseError
+        name = exc.filename or "output"
+        print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
         return CONFIG_ERROR
 
 

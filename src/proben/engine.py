@@ -36,29 +36,24 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-# fuse_boxes and iou are not called here; perfbench/tracing.py wraps them
-# under these names.
-from .box_fusion import (  # noqa: F401
-    BOX_FUSION_MODES,
-    fuse_boxes,
-    fused_variance,
-    member_weights,
-    weighted_average,
-)
+from .box_fusion import BOX_FUSION_MODES, fused_variance, member_weights, weighted_average
 from .detections import ClassPrior, ClassScores, Detection, DetectionColumns
 from .errors import ConfigurationError
-from .geometry import box_iou, iou  # noqa: F401
+from .geometry import box_iou
 from .score_fusion import (
     CalibrationParams,
-    LinearFusionWeights,
     calibrate_scores,
     fuse_avg_logits,
     fuse_avg_posteriors,
-    fuse_linear,
     fuse_proben,
 )
 
-SCORE_FUSION_MODES = ("max", "avg-posteriors", "avg-logits", "proben", "linear")
+# fuse_boxes and iou are not called here; perfbench/tracing.py wraps them
+# under these names.
+from .box_fusion import fuse_boxes  # noqa: F401
+from .geometry import iou  # noqa: F401
+
+SCORE_FUSION_MODES = ("max", "avg-posteriors", "avg-logits", "proben")
 MAX_MODALITIES = 64  # a cluster's modalities are an int64 bitmask
 _PAIR_BLOCK = 1 << 18
 
@@ -70,7 +65,6 @@ class FusionConfig:
     box_fusion: str = "avg"
     prior: Optional[ClassPrior] = None  # None means uniform
     calibration: Mapping[str, CalibrationParams] = field(default_factory=dict)
-    weights: Optional[LinearFusionWeights] = None
 
     def __post_init__(self):
         if not (
@@ -85,8 +79,6 @@ class FusionConfig:
             raise ConfigurationError(f"unknown score fusion mode {self.score_fusion!r}")
         if self.box_fusion not in BOX_FUSION_MODES:
             raise ConfigurationError(f"unknown box fusion mode {self.box_fusion!r}")
-        if self.score_fusion == "linear" and self.weights is None:
-            raise ConfigurationError("linear score fusion requires fusion weights")
 
 
 class DetectionBatch:
@@ -297,7 +289,7 @@ def _clusters(
     return cluster, members
 
 
-def _fuse_scores(members: np.ndarray, scores: ClassScores, batch, config, prior) -> ClassScores:
+def _fuse_scores(members: np.ndarray, scores: ClassScores, config, prior) -> ClassScores:
     """Fuse the scores of same-size clusters in one score-rule call: members
     holds one cluster per row, and its column j is the j-th stacked input;
     one row out per cluster."""
@@ -308,9 +300,6 @@ def _fuse_scores(members: np.ndarray, scores: ClassScores, batch, config, prior)
         return fuse_avg_logits(stacked)
     if config.score_fusion == "proben":
         return fuse_proben(stacked, prior, len(stacked))
-    if config.score_fusion == "linear":
-        modalities = [batch.modalities[i] for i in members[0]]
-        return fuse_linear(dict(zip(modalities, stacked)), config.weights)
     raise ConfigurationError(config.score_fusion)  # pragma: no cover - guarded by FusionConfig
 
 
@@ -324,11 +313,10 @@ def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
     """Fuse every image of a batch; the fused detections come out as columns.
 
     Calibration is applied per modality before clustering. Clusters of one
-    size are fused together: one score-rule call per size (per modality
-    order for linear fusion, whose sum runs in that order), and one
-    weighted average of boxes and of inverse variances per size. These
-    layouts run in order of first appearance, so an error names the
-    detection that a cluster-by-cluster fusion would name.
+    size are fused together: one score-rule call and one weighted average
+    of boxes and of inverse variances per size. The sizes run in order of
+    first appearance, so an error names the detection that a
+    cluster-by-cluster fusion would name.
     """
     scores = _calibrated(batch, config.calibration)
     cluster, members = _clusters(batch, scores, config)
@@ -343,20 +331,13 @@ def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
     sizes = np.bincount(cluster)
     offsets = np.cumsum(sizes) - sizes  # cluster c's members are members[offsets[c]:][:sizes[c]]
     seed = members[offsets]
-    codes = batch.modality_codes[members]
 
-    def member_positions(numbers):  # of same-size clusters' members, one cluster a row
-        return offsets[numbers][:, None] + np.arange(sizes[numbers[0]])
-
-    layouts = []
-    for numbers in _groups(sizes):
-        if config.score_fusion == "linear":
-            _, which = np.unique(codes[member_positions(numbers)], axis=0, return_inverse=True)
-            layouts += [numbers[part] for part in _groups(which.reshape(-1))]
-        else:
-            layouts.append(numbers)
-    layouts.sort(key=lambda numbers: numbers[0])  # order of first appearance
-    layouts = [(numbers, member_positions(numbers)) for numbers in layouts]
+    # same-size clusters, in order of first appearance, and their members'
+    # positions, one cluster a row
+    layouts = [
+        (numbers, offsets[numbers][:, None] + np.arange(sizes[numbers[0]]))
+        for numbers in sorted(_groups(sizes), key=lambda numbers: numbers[0])
+    ]
 
     prior = config.prior
     if prior is None:
@@ -364,7 +345,7 @@ def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
     logits = np.empty((len(sizes), scores.logits.shape[1]))
     posteriors = np.empty_like(logits)
     for numbers, positions in layouts:
-        group = _fuse_scores(members[positions], scores, batch, config, prior)
+        group = _fuse_scores(members[positions], scores, config, prior)
         logits[numbers], posteriors[numbers] = group.logits, group.posteriors
     fused = ClassScores(logits=logits, posteriors=posteriors)
 
@@ -389,7 +370,7 @@ def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
         variances[numbers] = fused_variance(batch.variances[rows])
 
     # each cluster's modalities as a bitmask over the sorted modality names
-    masks = np.bitwise_or.reduceat(np.left_shift(1, codes), offsets)
+    masks = np.bitwise_or.reduceat(np.left_shift(1, batch.modality_codes[members]), offsets)
     distinct, which = np.unique(masks, return_inverse=True)
     names = [
         "+".join(name for k, name in enumerate(batch.modality_names) if mask >> k & 1)

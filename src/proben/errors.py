@@ -26,9 +26,11 @@ class MissingVarianceError(FusionError):
 
 
 class ParseError(FusionError):
-    """Malformed input file; carries the offending path and line number."""
+    """Malformed or unreadable input file; carries the offending path and line
+    number (None for a file that cannot be opened)."""
 
     def __init__(self, path, line_number, message):
         self.path = str(path)
         self.line_number = line_number
-        super().__init__(f"{self.path}:{line_number}: {message}")
+        where = self.path if line_number is None else f"{self.path}:{line_number}"
+        super().__init__(f"{where}: {message}")

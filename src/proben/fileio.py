@@ -10,6 +10,7 @@ write/parse cycle reproduces every numeric field exactly.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -128,27 +129,61 @@ def _raise_first_invalid(path, box_values: array, box_lines: array, pending=None
         raise min(bad, key=lambda fault: fault[:2])[2]
 
 
+def open_input(path):
+    """path opened for reading as UTF-8 text; a ParseError naming it if it
+    cannot be opened."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(path, None, f"cannot read: {exc.strerror or exc}") from exc
+
+
+def _undecodable(path):
+    """The lines of path ahead of its first one that is not UTF-8, as a text
+    stream, and that line's ParseError. Only a read that failed pays for
+    this: the file is read again as bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]  # lines end at \n, \r or \r\n, as in text mode
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        fault = ParseError(path, line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}")
+        ahead = head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
+        return io.TextIOWrapper(io.BytesIO(ahead), encoding="utf-8"), fault
+
+
 _decode = json.JSONDecoder().raw_decode
 
 
-def _iter_records(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record, end = _decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):  # json.loads gives the error message
+def _iter_records(path, text=None):
+    """(line number, record) for each non-blank line of path (of text, if
+    given). A decode error can stop a text read ahead of lines it has not
+    parsed; they are parsed before it is raised, so the first bad line wins."""
+    line_no = 0
+    with (open_input(path) if text is None else text) as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(path, line_no, "each line must hold a JSON object")
-            yield line_no, record
+                    record, end = _decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):  # json.loads gives the error message
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise ParseError(path, line_no, "each line must hold a JSON object")
+                yield line_no, record
+        except UnicodeDecodeError:
+            ahead, fault = _undecodable(path)
+            yield from (item for item in _iter_records(path, ahead) if item[0] > line_no)
+            raise fault from None
 
 
 def read_detections(

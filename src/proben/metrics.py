@@ -17,9 +17,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .detections import DetectionColumns, GroundTruthColumns
+from .geometry import box_iou
 
 # iou is not called here; perfbench/tracing.py wraps it under this name.
-from .geometry import box_iou, iou  # noqa: F401
+from .geometry import iou  # noqa: F401
 
 TP = "TP"
 FP = "FP"

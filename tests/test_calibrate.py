@@ -7,7 +7,6 @@ import pytest
 from proben import (
     ClassScores,
     FusionConfig,
-    LinearFusionWeights,
     ModalityProfile,
     ScenarioSpec,
     average_precision,
@@ -57,9 +56,7 @@ def fresh_objective(sets, gts, image_ids, config, objective):
 
 @pytest.mark.parametrize("objective", ["lamr", "ap"])
 @pytest.mark.parametrize("box_fusion", ["argmax", "avg", "s-avg", "v-avg"])
-@pytest.mark.parametrize(
-    "score_fusion", ["max", "avg-posteriors", "avg-logits", "proben", "linear"]
-)
+@pytest.mark.parametrize("score_fusion", ["max", "avg-posteriors", "avg-logits", "proben"])
 @pytest.mark.parametrize("modality", ["rgb", "thermal"])
 def test_shared_batch_matches_fresh_fusion_at_every_point(
     three_modalities, modality, score_fusion, box_fusion, objective
@@ -67,15 +64,9 @@ def test_shared_batch_matches_fresh_fusion_at_every_point(
     """grid_search fuses one batch at every point; each point must equal a
     fresh fuse_all with that point's calibration (no state carried over)."""
     sets, gts = three_modalities
-    weights = None
-    if score_fusion == "linear":
-        weights = LinearFusionWeights(
-            {"aux": [0.5, 0.7, 0.9], "rgb": [0.9, 1.1, 1.2], "thermal": [1.2, 0.8, 1.0]}
-        )
     config = FusionConfig(
         score_fusion=score_fusion,
         box_fusion=box_fusion,
-        weights=weights,
         calibration={"aux": CalibrationParams(temperature=0.8, shift=0.2)},
     )
     image_ids = sorted(set(gts.image_id).union(*(s.image_id for s in sets)))
@@ -97,7 +88,6 @@ def test_shared_batch_matches_fresh_fusion_at_every_point(
         trial = FusionConfig(
             score_fusion=score_fusion,
             box_fusion=box_fusion,
-            weights=weights,
             calibration=calibration,
         )
         assert value == fresh_objective(sets, gts, image_ids, trial, objective), (t, b)

@@ -398,11 +398,106 @@ class TestExitCodes:
         assert err.startswith("error: ") and named in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_linear_without_weights_returns_3(self, fig3_inputs, tmp_path):
+    def test_fusion_modes_are_those_of_the_fusion_modules(self, capsys):
+        from proben.box_fusion import BOX_FUSION_MODES
+        from proben.cli import build_parser
+        from proben.engine import SCORE_FUSION_MODES
+
+        parser = build_parser()
+        for argv in (["fuse", "in.jsonl", "--out", "o"],
+                     ["calibrate", "in.jsonl", "--calibrate-modality", "rgb"]):
+            for mode in [*SCORE_FUSION_MODES, "pooling"]:
+                assert parser.parse_args([*argv, "--score-fusion", mode]).score_fusion == mode
+            for mode in BOX_FUSION_MODES:
+                assert parser.parse_args([*argv, "--box-fusion", mode]).box_fusion == mode
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args([*argv, "--score-fusion", "linear"])
+            assert exit_info.value.code == 2
+            assert "invalid choice: 'linear'" in capsys.readouterr().err
+
+    @staticmethod
+    def clean_error(capsys, *named):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        for text in named:
+            assert text in err, err
+
+    @pytest.mark.parametrize("missing", ["detections", "ground truth", "spec", "directory"])
+    def test_input_that_cannot_be_opened_returns_2_naming_it(
+        self, fig3_inputs, gt_file, tmp_path, capsys, missing
+    ):
+        rgb, _ = fig3_inputs
+        nope, prefix = tmp_path / "nope.jsonl", str(tmp_path / "e")
+        argv = {
+            "detections": ["eval", str(nope), str(gt_file), "--out-prefix", prefix],
+            "ground truth": ["eval", str(rgb), str(nope), "--out-prefix", prefix],
+            "spec": ["synth", "--out-dir", str(tmp_path / "data"), "--spec", str(nope)],
+            "directory": ["fuse", str(rgb), str(tmp_path), "--out", str(tmp_path / "o.jsonl")],
+        }[missing]
+        assert main(argv) == 2
+        self.clean_error(capsys, str(tmp_path if missing == "directory" else nope))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("which", ["det", "gt"])
+    def test_undecodable_line_returns_2_at_its_line(self, tmp_path, capsys, newline, which):
+        record = '{"image_id": "%s", "modality": "rgb", "bbox": [0, 0, 10, 20], "logits": [0, 1]}'
+        lines = {
+            "det": [record % "a", "", record % "b", record % "\xff", record % "c"],
+            "gt": ['{"meta": {"num_classes": 1}}', '{"image_id": "a"}', "",
+                   '{"image_id": "\xff"}'],
+        }
+        paths = {"det": tmp_path / "det.jsonl", "gt": tmp_path / "gt.jsonl"}
+        for name in paths:
+            text = newline.join(lines[name]) + newline
+            bad = text.encode("utf-8")
+            if name == which:  # "\xff" becomes the byte 0xff, which is not UTF-8
+                bad = text.encode("latin-1")
+            paths[name].write_bytes(bad)
+        argv = ["eval", str(paths["det"]), str(paths["gt"]), "--out-prefix", str(tmp_path / "e")]
+        assert main(argv) == 2
+        self.clean_error(capsys, f"{paths[which]}:4: not UTF-8: byte 0xff")
+
+    @pytest.mark.parametrize("command", ["fuse", "eval", "calibrate", "synth"])
+    def test_output_that_cannot_be_written_returns_3_naming_it(
+        self, fig3_inputs, gt_file, tmp_path, capsys, command
+    ):
         rgb, thermal = fig3_inputs
-        out = tmp_path / "out.jsonl"
-        argv = ["fuse", str(rgb), str(thermal), "--score-fusion", "linear", "--out", str(out)]
+        missing = tmp_path / "missing"
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        argv, named = {
+            "fuse": (["fuse", str(rgb), "--out", str(missing / "o.jsonl")], missing / "o.jsonl"),
+            "eval": (["eval", str(rgb), str(gt_file), "--out-prefix", str(missing / "e")],
+                     missing / "e.json"),
+            "calibrate": (["calibrate", str(rgb), str(thermal), "--ground-truth", str(gt_file),
+                           "--calibrate-modality", "rgb", "--grid-t", "1:2:2",
+                           "--out-prefix", str(missing / "c")], missing / "c.surface.csv"),
+            "synth": (["synth", "--out-dir", str(blocked / "data"), "--images", "5"],
+                      blocked / "data"),
+        }[command]
         assert main(argv) == 3
+        self.clean_error(capsys, f"cannot write {named}")
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "9"], ["--images", "50"], ["--modalities", "3"]], ids=lambda f: f[0]
+    )
+    def test_preset_flags_with_spec_return_3(self, tmp_path, capsys, flag):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path), *flag]) == 3
+        self.clean_error(capsys, flag[0])
+        assert not out.exists()
+
+    def test_stale_detection_files_return_3_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        argv = ["synth", "--out-dir", str(out), "--images", "5"]
+        assert main([*argv, "--modalities", "3"]) == 0
+        assert main([*argv, "--modalities", "3"]) == 0  # the same modalities again
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main([*argv, "--seed", "1"]) == 3
+        self.clean_error(capsys, str(out / "det_aux1.jsonl"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestVarianceChecks:

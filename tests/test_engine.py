@@ -13,7 +13,6 @@ from proben import (
     Detection,
     DetectionBatch,
     FusionConfig,
-    LinearFusionWeights,
     MissingVarianceError,
     calibrate_scores,
     convex_combination,
@@ -21,7 +20,6 @@ from proben import (
     fuse_all,
     fuse_avg_logits,
     fuse_avg_posteriors,
-    fuse_linear,
     fuse_proben,
     iou,
     pool,
@@ -107,10 +105,6 @@ class TestFusionConfig:
             FusionConfig(score_fusion="median")
         with pytest.raises(ConfigurationError):
             FusionConfig(box_fusion="median")
-
-    def test_linear_requires_weights(self):
-        with pytest.raises(ConfigurationError):
-            FusionConfig(score_fusion="linear")
 
 
 class TestFuse:
@@ -285,10 +279,8 @@ def reference_fuse_all(detection_sets, config):
                 fused = fuse_proben(member_scores, prior, len(members))
             elif config.score_fusion == "avg-logits":
                 fused = fuse_avg_logits(member_scores)
-            elif config.score_fusion == "avg-posteriors":
-                fused = fuse_avg_posteriors(member_scores)
             else:
-                fused = fuse_linear({d.modality: d.scores for d in members}, config.weights)
+                fused = fuse_avg_posteriors(member_scores)
             if config.box_fusion == "argmax":
                 box = members[0].box
             else:
@@ -354,13 +346,8 @@ class TestColumnFusion:
     per-cluster reference bit for bit, with clusters of one to four members."""
 
     @pytest.mark.parametrize("box_fusion", ["argmax", "avg", "s-avg", "v-avg"])
-    @pytest.mark.parametrize(
-        "score_fusion", ["max", "avg-posteriors", "avg-logits", "proben", "linear"]
-    )
+    @pytest.mark.parametrize("score_fusion", ["max", "avg-posteriors", "avg-logits", "proben"])
     def test_equals_per_cluster_reference(self, score_fusion, box_fusion):
-        weights = LinearFusionWeights(
-            {"a": [0.5, 0.7, 0.9], "b": [0.9, 1.1, 1.2], "c": [1.2, 0.8, 1.0], "d": [1, 1, 1]}
-        )
         sizes = set()
         for seed in range(6):
             sets = crowded_sets(seed)
@@ -368,7 +355,6 @@ class TestColumnFusion:
                 iou_threshold=(0.3, 0.5)[seed % 2],
                 score_fusion=score_fusion,
                 box_fusion=box_fusion,
-                weights=weights,
                 calibration={"b": CalibrationParams(temperature=1.7, shift=-0.3)},
             )
             got = fuse_all(sets, config)
@@ -492,9 +478,6 @@ def clique(seed):
     return DetectionBatch([one_image(boxes, np.c_[1 - p, p], ["a", "b", "c", "a"] * (n // 4))])
 
 
-WEIGHTS = LinearFusionWeights({m: [1.0] * 4 for m in ("a", "b", "c", "rgb", "thermal")})
-
-
 class TestClustersEqualTheSequentialLoop:
     """``engine._clusters`` (seeds decided in rounds over every image at once)
     gives the (cluster, row) columns of the greedy loop, in its order."""
@@ -514,7 +497,6 @@ class TestClustersEqualTheSequentialLoop:
             config = FusionConfig(
                 iou_threshold=threshold,
                 score_fusion=score_fusion,
-                weights=WEIGHTS,
                 calibration={"b": CalibrationParams(temperature=2.0, shift=-0.5)},
             )
             self.check(DetectionBatch([tied_scene(seed)]), config)
@@ -534,7 +516,7 @@ class TestClustersEqualTheSequentialLoop:
 
     @pytest.mark.parametrize("score_fusion", engine.SCORE_FUSION_MODES)
     def test_empty_batch_and_single_detection(self, score_fusion):
-        config = FusionConfig(score_fusion=score_fusion, weights=WEIGHTS)
+        config = FusionConfig(score_fusion=score_fusion)
         assert self.check(DetectionBatch([]), config) == 0
         single = one_image([[0, 0, 5, 5]], [[0.3, 0.7]], ["rgb"])
         assert self.check(DetectionBatch([single]), config) == 1

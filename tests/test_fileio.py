@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from proben import BBox, ClassScores, Detection, GroundTruth, InvalidScoreError, ParseError
 from proben.detections import DetectionColumns, GroundTruthColumns, check_box_variance
 from proben.fileio import (
+    _iter_records,
     read_detections,
     read_ground_truth,
     write_curves_csv,
@@ -308,6 +309,33 @@ class TestStackedIngest:
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=message):
+            read_detections(path)
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is a ParseError at its line, and a fault on an
+    earlier line still wins, also one the text read had not reached."""
+
+    def write(self, path, lines):
+        path.write_bytes("\n".join(lines).encode("latin-1"))  # "\xff" stays the byte 0xff
+
+    @pytest.mark.parametrize("bad_line", [1, 4, 450])
+    def test_lines_ahead_of_it_are_read_once(self, tmp_path, bad_line):
+        path = tmp_path / "det.jsonl"
+        lines = [json.dumps({"image_id": f"img{i:05d}", "pad": "x" * 60}) for i in range(500)]
+        lines[bad_line - 1] = '{"image_id": "\xff"}'
+        self.write(path, lines)
+        seen = []
+        with pytest.raises(ParseError, match=f"det.jsonl:{bad_line}: not UTF-8: byte 0xff"):
+            for line_no, _ in _iter_records(path):
+                seen.append(line_no)
+        assert seen == list(range(1, bad_line))
+
+    def test_an_earlier_fault_in_the_same_read_wins(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        good = '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 10, 20], "logits": [0, 1]}'
+        self.write(path, [good, "{not json", "", '{"image_id": "\xff"}'])
+        with pytest.raises(ParseError, match="det.jsonl:2: invalid JSON"):
             read_detections(path)
 
 

@@ -11,12 +11,9 @@ from proben import (
     ClassScores,
     ConfigurationError,
     EmptyClusterError,
-    LinearFusionWeights,
     calibrate_scores,
-    fit_linear_weights,
     fuse_avg_logits,
     fuse_avg_posteriors,
-    fuse_linear,
     fuse_max,
     fuse_proben,
     softmax,
@@ -183,112 +180,6 @@ class TestFuseProben:
         skewed = ClassPrior(priors=np.array([0.25, 0.75]))
         out2 = fuse_proben(members, skewed, 2)
         assert out2.score < out.score  # dividing by a larger prior shrinks the class
-
-
-class TestFuseLinear:
-    def test_all_ones_equals_proben_uniform(self):
-        a = ClassScores.from_logits([0.1, 1.4])
-        b = ClassScores.from_logits([-0.3, 0.8])
-        w = LinearFusionWeights(weights={"rgb": [1.0, 1.0], "thermal": [1.0, 1.0]})
-        out = fuse_linear({"rgb": a, "thermal": b}, w)
-        expected = fuse_proben([a, b], UNIFORM2, 2)
-        assert out.posteriors == pytest.approx(expected.posteriors, abs=1e-12)
-
-    def test_half_weights_equal_avg_logits(self):
-        a = ClassScores.from_logits([0.1, 1.4])
-        b = ClassScores.from_logits([-0.3, 0.8])
-        w = LinearFusionWeights(weights={"rgb": [0.5, 0.5], "thermal": [0.5, 0.5]})
-        out = fuse_linear({"rgb": a, "thermal": b}, w)
-        expected = fuse_avg_logits([a, b])
-        assert out.posteriors == pytest.approx(expected.posteriors, abs=1e-12)
-
-    def test_zero_weight_modality_ignored(self):
-        a = ClassScores.from_logits([0.1, 1.4])
-        w = LinearFusionWeights(weights={"rgb": [1.0, 1.0], "thermal": [0.0, 0.0]})
-        out1 = fuse_linear({"rgb": a, "thermal": ClassScores.from_logits([5.0, -5.0])}, w)
-        out2 = fuse_linear({"rgb": a, "thermal": ClassScores.from_logits([-9.0, 2.0])}, w)
-        assert out1.posteriors == pytest.approx(out2.posteriors, abs=1e-12)
-
-    def test_unknown_modality_rejected(self):
-        w = LinearFusionWeights(weights={"rgb": [1.0, 1.0]})
-        with pytest.raises(ConfigurationError):
-            fuse_linear({"thermal": ClassScores.from_logits([0.0, 1.0])}, w)
-
-    def test_empty_cluster(self):
-        with pytest.raises(EmptyClusterError):
-            fuse_linear({}, LinearFusionWeights(weights={}))
-
-
-def _example(rel1, rel2, label):
-    return ({"rgb": [0.0, rel1], "thermal": [0.0, rel2]}, label)
-
-
-class TestFitLinearWeights:
-    def test_separable_toy_set_classified(self):
-        examples = [_example(5.0, 5.0, True)] * 4 + [_example(-5.0, -5.0, False)] * 4
-        weights = fit_linear_weights(examples)
-        for logits, label in examples:
-            fused = fuse_linear(
-                {m: ClassScores.from_logits(v) for m, v in logits.items()}, weights
-            )
-            assert (fused.score > 0.5) == label
-
-    def test_duplication_invariance(self):
-        examples = [
-            _example(4.0, 3.0, True),
-            _example(-2.0, -3.5, False),
-            _example(1.0, -1.0, False),
-        ]
-        w1 = fit_linear_weights(examples)
-        w2 = fit_linear_weights(examples * 2)
-        for m in w1.weights:
-            assert w1.weights[m] == pytest.approx(w2.weights[m], abs=1e-9)
-
-    def test_exchangeable_modalities_get_equal_weights(self):
-        base = [(3.0, -1.0, True), (-4.0, 2.0, False), (1.5, 0.5, True), (-1.0, -2.0, False)]
-        examples = []
-        for r1, r2, label in base:
-            examples.append(_example(r1, r2, label))
-            examples.append(_example(r2, r1, label))  # swap to force exchangeability
-        weights = fit_linear_weights(examples)
-        assert weights.weights["rgb"] == pytest.approx(weights.weights["thermal"], abs=1e-6)
-
-    def test_single_label_flags_warning(self):
-        with pytest.warns(UserWarning, match="non-separable"):
-            fit_linear_weights([_example(2.0, 2.0, True), _example(3.0, 1.0, True)])
-
-    def test_loss_non_increasing(self):
-        examples = [
-            _example(4.0, 2.0, True),
-            _example(-3.0, -1.0, False),
-            _example(0.5, -0.5, True),
-            _example(-0.5, 0.5, False),
-        ]
-        modalities = ["rgb", "thermal"]
-        x = np.array(
-            [np.concatenate([logits[m] for m in modalities]) for logits, _ in examples]
-        )
-        y = np.array([1.0 if label else 0.0 for _, label in examples])
-
-        def mean_loss(w):
-            z = x @ w
-            return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-        w = np.zeros(x.shape[1])
-        losses = [mean_loss(w)]
-        for _ in range(5000):
-            p = 1.0 / (1.0 + np.exp(-(x @ w)))
-            w -= 0.1 * x.T @ (p - y) / len(y)
-            losses.append(mean_loss(w))
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
-        learned = fit_linear_weights(examples)
-        reference = np.concatenate([learned.weights[m] for m in modalities])
-        assert reference == pytest.approx(w, abs=1e-12)
-
-    def test_requires_examples(self):
-        with pytest.raises(ConfigurationError):
-            fit_linear_weights([])
 
 
 class TestCalibrateScores:

@@ -193,13 +193,22 @@ def test_kaist_like_files_are_pinned(tmp_path):
     }
 
 
+KAIST_2K = {
+    "gt.jsonl": "8d72916b4aa8",
+    "det_rgb.jsonl": "b86cd064b846",
+    "det_thermal.jsonl": "d963324ea15d",
+}
+
+
 def test_kaist_2k_files_are_pinned(tmp_path):
     """The ``kaist-2k`` benchmark inputs at seed 0, as listed in perfbench/README.md."""
-    assert synth_digests(tmp_path, "--seed", "0", "--images", "2000") == {
-        "gt.jsonl": "8d72916b4aa8",
-        "det_rgb.jsonl": "b86cd064b846",
-        "det_thermal.jsonl": "d963324ea15d",
-    }
+    assert synth_digests(tmp_path, "--seed", "0", "--images", "2000") == KAIST_2K
+
+
+def test_preset_defaults_are_seed_0_and_2000_images(tmp_path):
+    """``--seed``, ``--images`` and ``--modalities`` default to None on the
+    command line, and the preset applies 0, 2000 and 2."""
+    assert synth_digests(tmp_path, "--preset", "kaist-like") == KAIST_2K
 
 
 def test_four_modality_preset_files_are_pinned(tmp_path):
