@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import glob
-import json
 import os
 import re
 import sys
@@ -23,9 +22,9 @@ from .detections import ClassPrior, DetectionColumns, estimate_class_prior
 from .engine import SCORE_FUSION_MODES, DetectionBatch, FusionConfig, fuse_detections, pool
 from .errors import ConfigurationError, FusionError, ParseError
 from .fileio import (
-    open_input,
     read_detections,
     read_ground_truth,
+    read_json,
     write_curves_csv,
     write_detections,
     write_ground_truth,
@@ -77,11 +76,12 @@ def _parse_prior(raw: str, gts, num_classes: int) -> Optional[ClassPrior]:
     raise ConfigurationError(f"--prior must be 'uniform' or 'counted:<bg>', got {raw!r}")
 
 
-def _read_detection_sets(paths, overrides: Dict[str, str]) -> List[DetectionColumns]:
+def _read_detection_sets(args) -> List[DetectionColumns]:
+    overrides = dict(_parse_assignment(raw, "--modality") for raw in args.modality or [])
     sets: List[DetectionColumns] = []
     next_id = 0
     num_classes = None
-    for path in paths:
+    for path in args.inputs:
         dets = read_detections(
             path,
             modality_override=overrides.get(path),
@@ -106,16 +106,10 @@ def _build_config(args, gts, num_classes) -> FusionConfig:
 
 
 def cmd_fuse(args) -> int:
-    overrides = dict(
-        _parse_assignment(raw, "--modality") for raw in (args.modality or [])
-    )
-    detection_sets = _read_detection_sets(args.inputs, overrides)
+    detection_sets = _read_detection_sets(args)
     nonempty = [dets for dets in detection_sets if len(dets)]
     num_classes = nonempty[0].scores.num_foreground if nonempty else 1
-
-    gts = None
-    if args.ground_truth:
-        gts = read_ground_truth(args.ground_truth)[0]
+    gts = read_ground_truth(args.ground_truth)[0] if args.ground_truth else None
 
     if args.score_fusion == "pooling":
         fused = pool(detection_sets)
@@ -151,9 +145,7 @@ def cmd_eval(args) -> int:
     payload = report.to_dict()
     if args.metric != "both":
         dropped = ("lamr",) if args.metric == "ap" else ("ap", "mean_ap")
-        for subset in payload["subsets"].values():
-            if subset is None:
-                continue
+        for subset in filter(None, payload["subsets"].values()):
             for key in dropped:
                 subset.pop(key, None)
     write_json(args.out_prefix + ".json", payload)
@@ -193,10 +185,7 @@ def _parse_grid(raw: str, flag: str) -> GridSpec:
 
 
 def cmd_calibrate(args) -> int:
-    overrides = dict(
-        _parse_assignment(raw, "--modality") for raw in (args.modality or [])
-    )
-    detection_sets = _read_detection_sets(args.inputs, overrides)
+    detection_sets = _read_detection_sets(args)
     gts, _, num_classes, _, gt_images = read_ground_truth(args.ground_truth)
     config = _build_config(args, gts, num_classes)
     image_ids = sorted(set(gt_images).union(*(dets.image_id for dets in detection_sets)))
@@ -234,8 +223,7 @@ def cmd_calibrate(args) -> int:
 
 
 def _spec_from_json(path) -> ScenarioSpec:
-    with open_input(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
 
     def require(ok: bool, what: str, value) -> None:
         if not ok:
@@ -405,12 +393,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (FusionError, ValueError) as exc:  # ParseError is a FusionError
         print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except (ConfigurationError, FusionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+        return PARSE_ERROR if isinstance(exc, ParseError) else CONFIG_ERROR
     except OSError as exc:  # an input that cannot be opened is a ParseError
         name = exc.filename or "output"
         print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)

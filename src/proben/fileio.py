@@ -154,6 +154,18 @@ def _undecodable(path):
         return io.TextIOWrapper(io.BytesIO(ahead), encoding="utf-8"), fault
 
 
+def read_json(path):
+    """The one JSON document in path; a ParseError at the line of its first
+    fault, be it a byte that is not UTF-8 or bad JSON."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError:
+            raise _undecodable(path)[1] from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+
+
 _decode = json.JSONDecoder().raw_decode
 
 

@@ -499,6 +499,59 @@ class TestExitCodes:
         self.clean_error(capsys, str(out / "det_aux1.jsonl"))
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_default_valued_preset_flag_with_spec_returns_3(self, tmp_path, capsys):
+        """A preset flag is refused with --spec when given at all, even at
+        the value the preset path would apply."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path), "--seed", "0"]) == 3
+        self.clean_error(capsys, "--seed")
+        assert not out.exists()
+
+    def test_spec_run_into_a_preset_directory_returns_3(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))  # writes rgb only
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), "--images", "5"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path)]) == 3
+        self.clean_error(capsys, str(out / "det_thermal.jsonl"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_files_that_are_not_detection_files_are_left_alone(self, tmp_path):
+        out = tmp_path / "data"
+        out.mkdir()
+        kept = {"det_aux1.jsonl.bak": b"old", "notes.jsonl": b"{}", "det_aux1.json": b"{}"}
+        for name, data in kept.items():
+            (out / name).write_bytes(data)
+        assert main(["synth", "--out-dir", str(out), "--images", "5"]) == 0
+        for name, data in kept.items():
+            assert (out / name).read_bytes() == data
+        assert sorted(p.name for p in out.glob("det_*.jsonl")) == [
+            "det_rgb.jsonl", "det_thermal.jsonl"
+        ]
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (b'{"seed": 1,', 1, "invalid JSON: Expecting property name"),
+            (b'{\n  "seed": 1,\n  "image_count": ]\n}\n', 3, "invalid JSON: Expecting value"),
+            (b'{\r\n  "seed": 1,\r\n  "x": "\xff"\r\n}', 3, "not UTF-8: byte 0xff"),
+            (b"", 1, "invalid JSON: Expecting value"),
+        ],
+        ids=["truncated", "third-line", "not-utf8", "empty"],
+    )
+    def test_spec_that_is_not_json_returns_2_at_its_line(
+        self, tmp_path, capsys, text, line, message
+    ):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(text)
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path)]) == 2
+        self.clean_error(capsys, f"{spec_path}:{line}: {message}")
+        assert not out.exists()
+
 
 class TestVarianceChecks:
     def pair(self, tmp_path, variance):

@@ -338,6 +338,16 @@ class TestUndecodableInput:
         with pytest.raises(ParseError, match="det.jsonl:2: invalid JSON"):
             read_detections(path)
 
+    def test_sequence_cut_off_at_the_end_of_the_file(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        good = '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 10, 20], "logits": [0, 1]}'
+        path.write_bytes(good.encode() + b'\n{"image_id": "\xe2\x82')  # half a euro sign
+        seen = []
+        with pytest.raises(ParseError, match="det.jsonl:2: not UTF-8: byte 0xe2: unexpected end"):
+            for line_no, _ in _iter_records(path):
+                seen.append(line_no)
+        assert seen == [1]
+
 
 class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):

@@ -139,6 +139,10 @@ class TestFuseProben:
         with pytest.raises(EmptyClusterError):
             fuse_proben([], UNIFORM2, 1)
 
+    def test_m_effective_below_one_rejected(self):
+        with pytest.raises(ConfigurationError):
+            fuse_proben([binary(0.8)], UNIFORM2, 0)
+
     @settings(max_examples=200)
     @given(cluster_strategy)
     def test_uniform_prior_equals_summed_logits(self, members):
@@ -182,11 +186,49 @@ class TestFuseProben:
         assert out2.score < out.score  # dividing by a larger prior shrinks the class
 
 
+THREE_CLASS_PRIOR = ClassPrior(priors=np.array([0.5, 0.3, 0.2]))
+
+
+class TestStackedClusters:
+    """Given stacked members (row r of member j is member j of cluster r),
+    a rule fuses each row as a cluster of its own, bit for bit."""
+
+    RULES = {
+        "avg-posteriors": fuse_avg_posteriors,
+        "avg-logits": fuse_avg_logits,
+        "proben": lambda members: fuse_proben(members, THREE_CLASS_PRIOR, len(members)),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_rows_equal_one_call_per_cluster(self, rule):
+        fuse = self.RULES[rule]
+        logits = np.random.default_rng(7).normal(0, 4, size=(3, 5, 3))  # members, rows, K+1
+        fused = fuse([ClassScores.from_logits(member) for member in logits])
+        assert fused.logits.shape == (5, 3)
+        for row in range(5):
+            alone = fuse([ClassScores.from_logits(member[row]) for member in logits])
+            assert np.array_equal(fused.logits[row], alone.logits), row
+            assert np.array_equal(fused.posteriors[row], alone.posteriors), row
+
+
 class TestCalibrateScores:
     def test_identity_params(self):
         s = ClassScores.from_logits([0.2, 1.3, -0.7])
         out = calibrate_scores(s, CalibrationParams())
         assert out.posteriors == pytest.approx(s.posteriors, abs=1e-12)
+
+    def test_identity_params_keep_posteriors_read_from_a_file(self):
+        s = ClassScores.from_posteriors([0.3, 0.6, 0.1])
+        assert calibrate_scores(s, CalibrationParams()) is s
+
+    def test_stacked_rows_equal_one_call_per_row(self):
+        logits = np.random.default_rng(8).normal(0, 4, size=(6, 3))
+        params = CalibrationParams(temperature=1.7, shift=-0.4)
+        stacked = calibrate_scores(ClassScores.from_logits(logits), params)
+        for row, one in enumerate(logits):
+            alone = calibrate_scores(ClassScores.from_logits(one), params)
+            assert np.array_equal(stacked.logits[row], alone.logits), row
+            assert np.array_equal(stacked.posteriors[row], alone.posteriors), row
 
     def test_temperature_halves_relative_logit(self):
         s = from_relative_logit(4.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proben import ConfigurationError, ModalityProfile, ScenarioSpec, generate, kaist_like_spec
-from proben.cli import _read_detection_sets
+from proben.cli import _read_detection_sets, build_parser
 from proben.fileio import write_detections
 
 
@@ -162,7 +162,8 @@ class TestGenerate:
         for modality in sorted(dataset.detections):
             paths.append(str(tmp_path / f"det_{modality}.jsonl"))
             write_detections(paths[-1], dataset.detections[modality])
-        read = [i for dets in _read_detection_sets(paths, {}) for i in dets.det_id.tolist()]
+        args = build_parser().parse_args(["fuse", *paths, "--out", str(tmp_path / "o.jsonl")])
+        read = [i for dets in _read_detection_sets(args) for i in dets.det_id.tolist()]
         generated = [
             i for m in sorted(dataset.detections) for i in dataset.detections[m].det_id.tolist()
         ]
