@@ -19,7 +19,14 @@ from typing import Dict, List, Optional, Sequence
 from .box_fusion import BOX_FUSION_MODES
 from .calibrate import GridSpec, grid_search
 from .detections import ClassPrior, DetectionColumns, estimate_class_prior
-from .engine import SCORE_FUSION_MODES, DetectionBatch, FusionConfig, fuse_detections, pool
+from .engine import (
+    SCORE_FUSION_MODES,
+    DetectionBatch,
+    FusionConfig,
+    check_iou_threshold,
+    fuse_detections,
+    pool,
+)
 from .errors import ConfigurationError, FusionError, ParseError
 from .fileio import (
     read_detections,
@@ -123,6 +130,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_iou_threshold(args.iou_threshold)
     dets = read_detections(args.detections)
     gts, tags, num_classes, class_names, gt_images = read_ground_truth(args.ground_truth)
     orphan = sorted(set(dets.image_id) - set(gt_images))

@@ -119,8 +119,14 @@ class ClassScores:
         )
 
     def take(self, rows) -> "ClassScores":
-        """The stack of the given rows."""
-        return ClassScores(logits=self.logits[rows], posteriors=self.posteriors[rows])
+        """The stack of the given rows; log-posteriors already derived for
+        this stack carry over."""
+        taken = ClassScores(logits=self.logits[rows], posteriors=self.posteriors[rows])
+        if "log_posteriors" in self.__dict__:  # cached_property's slot
+            log_posteriors = self.log_posteriors[rows]
+            log_posteriors.flags.writeable = False
+            taken.__dict__["log_posteriors"] = log_posteriors
+        return taken
 
     @property
     def num_foreground(self) -> int:

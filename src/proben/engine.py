@@ -17,12 +17,14 @@ as two columns, cluster number and member row.
 
 A ``DetectionBatch`` holds what this needs that does not depend on scores:
 the grouping by image, the box and score columns and every same-image
-pairwise IoU. ``fuse_columns`` fuses a batch into columns (image, seed,
-modalities, boxes, variances, scores) without building a per-cluster
-object; ``fuse_detections`` turns them into ``DetectionColumns`` and
-``fuse_all`` into ``Detection`` objects. A calibration grid search builds
-the batch once and calls ``fuse_columns`` per grid point, so each point pays
-only for re-ranking, clustering, fusion and matching.
+pairwise IoU. ``fuse_columns``, the fusion core, fuses a batch into columns
+(image, seed det_id, boxes, scores, members) without building a
+per-cluster object; ``fuse_detections`` adds what only an output needs
+(fused variances, modality names, the per-image sort) to make
+``DetectionColumns``, and ``fuse_all`` makes ``Detection`` objects. A
+calibration grid search builds the batch once and calls ``fuse_columns``
+per grid point, so each point pays only for re-ranking, clustering, fusion
+and matching.
 
 Also hosts the no-suppression pooling baseline.
 """
@@ -58,6 +60,12 @@ MAX_MODALITIES = 64  # a cluster's modalities are an int64 bitmask
 _PAIR_BLOCK = 1 << 18
 
 
+def check_iou_threshold(value) -> None:
+    """Raise ConfigurationError unless value is a number in (0, 1)."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 < value < 1.0):
+        raise ConfigurationError(f"iou_threshold must lie in (0, 1), got {value}")
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     iou_threshold: float = 0.5
@@ -67,18 +75,27 @@ class FusionConfig:
     calibration: Mapping[str, CalibrationParams] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (
-            isinstance(self.iou_threshold, (int, float))
-            and math.isfinite(self.iou_threshold)
-            and 0.0 < self.iou_threshold < 1.0
-        ):
-            raise ConfigurationError(
-                f"iou_threshold must lie in (0, 1), got {self.iou_threshold}"
-            )
+        check_iou_threshold(self.iou_threshold)
         if self.score_fusion not in SCORE_FUSION_MODES:
             raise ConfigurationError(f"unknown score fusion mode {self.score_fusion!r}")
         if self.box_fusion not in BOX_FUSION_MODES:
             raise ConfigurationError(f"unknown box fusion mode {self.box_fusion!r}")
+
+
+def _sweep(start: np.ndarray, extent: np.ndarray, image: np.ndarray):
+    """A sweep along one axis: the rows sorted by image, then by start, and
+    for each sorted position how many later positions of its image begin
+    below its end, or at its start where its end rounds to it (an equal box
+    still has IoU 1). Boxes overlap only if their extents along every axis
+    meet, so those later positions hold every partner of the row. Starts and
+    ends are ranked together, so that one key sorts by image, then start."""
+    n = len(start)
+    edges, rank = np.unique(np.concatenate((start, start + extent)), return_inverse=True)
+    offset = image * (len(edges) + 1)
+    key = offset + rank[:n]
+    by = np.argsort(key, kind="stable")
+    end = np.searchsorted(key[by], (offset + np.maximum(rank[n:], rank[:n] + 1))[by])
+    return by, end - np.arange(n) - 1
 
 
 class DetectionBatch:
@@ -121,30 +138,28 @@ class DetectionBatch:
         self.variances = columns.variances
         self.scores = columns.scores
 
-        # every same-image pair of overlapping boxes. Boxes overlap only if
-        # their x-extents meet, so with each image's rows sorted by x1, the
-        # row at sorted position p pairs with the later ones whose x1 lies
-        # below its x2, or equals its x1 where x2 rounds to x1 (an equal box
-        # still has IoU 1). x values are ranked together, so that one key
-        # sorts by image, then x1. Blocks of about _PAIR_BLOCK pairs each
-        # bound the memory a crowded image takes.
+        # every same-image pair of overlapping boxes, found by a sweep along
+        # the axis of each image that offers fewer candidate pairs. Blocks
+        # of about _PAIR_BLOCK pairs each bound the memory a crowded image
+        # takes.
         n = len(order)
-        x1 = self.boxes[:, 0]
-        edges, rank = np.unique(np.concatenate((x1, x1 + self.boxes[:, 2])), return_inverse=True)
-        offset = self.image_index * (len(edges) + 1)
-        key = offset + rank[:n]
-        by_x = np.argsort(key, kind="stable")
-        end = np.searchsorted(key[by_x], (offset + np.maximum(rank[n:], rank[:n] + 1))[by_x])
+        by_x, later_x = _sweep(self.boxes[:, 0], self.boxes[:, 2], self.image_index)
+        by_y, later_y = _sweep(self.boxes[:, 1], self.boxes[:, 3], self.image_index)
+        image_at = self.image_index[by_x]  # both sweeps group positions by image
+        images = len(self.image_ids)
+        candidates_x = np.bincount(image_at, weights=later_x, minlength=images)
+        candidates_y = np.bincount(image_at, weights=later_y, minlength=images)
+        use_y = (candidates_y < candidates_x)[image_at]
+        by, later = np.where(use_y, by_y, by_x), np.where(use_y, later_y, later_x)
         position = np.arange(n)
-        later = end - position - 1
         before = np.cumsum(later) - later  # pairs of the positions ahead of each one
         starts = np.searchsorted(before, np.arange(0, max(later.sum(), 1), _PAIR_BLOCK))
         pairs = []
         for lo, hi in zip(starts, [*starts[1:], n]):
             block, count = position[lo:hi], later[lo:hi]
-            a = by_x[np.repeat(block, count)]
+            a = by[np.repeat(block, count)]
             ahead = np.repeat(np.cumsum(count) - count - block - 1, count)
-            b = by_x[np.arange(count.sum()) - ahead]
+            b = by[np.arange(count.sum()) - ahead]
             first, second = np.minimum(a, b), np.maximum(a, b)
             value = box_iou(self.boxes[first], self.boxes[second])
             keep = value > 0.0
@@ -156,16 +171,16 @@ class DetectionBatch:
 
 @dataclass(frozen=True)
 class FusedColumns:
-    """Fused detections as columns, one row per cluster: grouped by image in
-    batch order, each image's rows sorted as ``Detection.sort_key`` sorts."""
+    """Fused detections as columns, one row per cluster in emission order
+    (image by image in batch order, seeds best first), with the batch rows
+    of each cluster's members."""
 
     image: np.ndarray  # index into the batch's image_ids
-    seed: np.ndarray  # batch row of the cluster's seed
     det_id: np.ndarray  # the seed's det_id
-    modality: np.ndarray  # "+"-joined sorted modalities of the members
     boxes: np.ndarray  # (C, 4)
-    variances: np.ndarray  # fused box variance, NaN where a member has none
     scores: ClassScores  # (C, K+1) stack
+    members: np.ndarray  # batch rows, cluster by cluster, each best first
+    sizes: np.ndarray  # (C,) members per cluster
 
 
 def pool(detection_sets: Sequence) -> DetectionColumns:
@@ -309,39 +324,40 @@ def _groups(keys: np.ndarray) -> List[np.ndarray]:
     return [g for g in np.split(order, np.cumsum(np.bincount(keys))[:-1]) if len(g)]
 
 
-def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
-    """Fuse every image of a batch; the fused detections come out as columns.
-
-    Calibration is applied per modality before clustering. Clusters of one
-    size are fused together: one score-rule call and one weighted average
-    of boxes and of inverse variances per size. The sizes run in order of
-    first appearance, so an error names the detection that a
-    cluster-by-cluster fusion would name.
-    """
-    scores = _calibrated(batch, config.calibration)
-    cluster, members = _clusters(batch, scores, config)
-
-    if config.score_fusion == "max":  # the seeds themselves
-        fused = scores.take(members)
-        modality = np.array(batch.modalities, dtype=object)[members]
-        return _sorted_columns(
-            batch, members, modality, batch.boxes[members], batch.variances[members], fused
-        )
-
-    sizes = np.bincount(cluster)
-    offsets = np.cumsum(sizes) - sizes  # cluster c's members are members[offsets[c]:][:sizes[c]]
-    seed = members[offsets]
-
-    # same-size clusters, in order of first appearance, and their members'
-    # positions, one cluster a row
-    layouts = [
+def _layouts(sizes: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Same-size clusters, in order of first appearance: their numbers, and
+    their members' positions in the member column, one cluster a row."""
+    offsets = np.cumsum(sizes) - sizes
+    return [
         (numbers, offsets[numbers][:, None] + np.arange(sizes[numbers[0]]))
         for numbers in sorted(_groups(sizes), key=lambda numbers: numbers[0])
     ]
 
+
+def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
+    """The fusion core: fuse every image of a batch into columns, clusters in
+    emission order. What only an output needs (fused variances, modality
+    names, the per-image sort) is left to ``fuse_detections``.
+
+    Calibration is applied per modality before clustering. Clusters of one
+    size are fused together: one score-rule call and one weighted average of
+    boxes per size. The sizes run in order of first appearance, so an error
+    names the detection that a cluster-by-cluster fusion would name.
+    """
+    scores = _calibrated(batch, config.calibration)
+    cluster, members = _clusters(batch, scores, config)
+    sizes = np.bincount(cluster)
+    seed = members[np.cumsum(sizes) - sizes]
+    image, det_id = batch.image_index[seed], batch.det_ids[seed]
+    if config.score_fusion == "max":  # the seeds themselves
+        return FusedColumns(image, det_id, batch.boxes[seed], scores.take(seed), seed, sizes)
+
+    layouts = _layouts(sizes)
     prior = config.prior
     if prior is None:
         prior = ClassPrior.uniform(scores.num_foreground)
+    if config.score_fusion == "proben":
+        scores.log_posteriors  # derived once for the stack; each take of it keeps its rows
     logits = np.empty((len(sizes), scores.logits.shape[1]))
     posteriors = np.empty_like(logits)
     for numbers, positions in layouts:
@@ -349,60 +365,58 @@ def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
         logits[numbers], posteriors[numbers] = group.logits, group.posteriors
     fused = ClassScores(logits=logits, posteriors=posteriors)
 
-    boxes = np.empty((len(sizes), 4))
-    variances = np.empty(len(sizes))
-    weights = None
-    if config.box_fusion != "argmax":
+    if config.box_fusion == "argmax":
+        boxes = batch.boxes[seed]
+    else:
+        boxes = np.empty((len(sizes), 4))
         # members are in emission order, so errors name the first member
-        fused_class = np.repeat(fused.argmax_foreground(), sizes)
         weights = member_weights(
             config.box_fusion,
-            scores.posteriors[members, fused_class],
+            scores.posteriors[members, np.repeat(fused.argmax_foreground(), sizes)],
             batch.variances[members],
             batch.det_ids[members],
         )
-    for numbers, positions in layouts:
-        rows = members[positions]
-        if weights is None:
-            boxes[numbers] = batch.boxes[rows[:, 0]]
-        else:
-            boxes[numbers] = weighted_average(batch.boxes[rows], weights[positions])
-        variances[numbers] = fused_variance(batch.variances[rows])
+        for numbers, positions in layouts:
+            boxes[numbers] = weighted_average(batch.boxes[members[positions]], weights[positions])
+    return FusedColumns(image, det_id, boxes, fused, members, sizes)
+
+
+def fuse_detections(batch: DetectionBatch, config: FusionConfig) -> DetectionColumns:
+    """Fuse every image of a batch into detection columns (see ``fuse_all``),
+    checked as building a ``Detection`` per row would check them.
+
+    The output step on the core's columns: each cluster's fused box variance
+    (a kept seed keeps its own) and the "+"-joined sorted modality names of
+    its members, and each image's rows sorted by the sort key, ties keeping
+    emission order.
+    """
+    fused = fuse_columns(batch, config)
+    members, sizes = fused.members, fused.sizes
+    if config.score_fusion == "max":
+        variances = batch.variances[members]
+    else:
+        variances = np.empty(len(sizes))
+        for numbers, positions in _layouts(sizes):
+            variances[numbers] = fused_variance(batch.variances[members[positions]])
 
     # each cluster's modalities as a bitmask over the sorted modality names
+    offsets = np.cumsum(sizes) - sizes
     masks = np.bitwise_or.reduceat(np.left_shift(1, batch.modality_codes[members]), offsets)
     distinct, which = np.unique(masks, return_inverse=True)
     names = [
         "+".join(name for k, name in enumerate(batch.modality_names) if mask >> k & 1)
         for mask in distinct.tolist()
     ]
-    modality = np.array(names, dtype=object)[which]
-    return _sorted_columns(batch, seed, modality, boxes, variances, fused)
 
-
-def _sorted_columns(batch, seed, modality, boxes, variances, scores) -> FusedColumns:
-    """The columns of clusters in emission order, each image's rows sorted by
-    the sort key; ties keep emission order."""
-    image, det_id = batch.image_index[seed], batch.det_ids[seed]
+    image, det_id, scores = fused.image, fused.det_id, fused.scores
     order = np.lexsort((det_id, scores.argmax_foreground(), -scores.score, image))
-    return FusedColumns(
-        image=image[order],
-        seed=seed[order],
-        det_id=det_id[order],
-        modality=modality[order],
-        boxes=boxes[order],
-        variances=variances[order],
-        scores=scores.take(order),
-    )
-
-
-def fuse_detections(batch: DetectionBatch, config: FusionConfig) -> DetectionColumns:
-    """Fuse every image of a batch into detection columns (see ``fuse_all``),
-    checked as building a ``Detection`` per row would check them."""
-    fused = fuse_columns(batch, config)
-    image_ids = [batch.image_ids[i] for i in fused.image.tolist()]
     return DetectionColumns(
-        image_ids, fused.modality.tolist(), fused.boxes, fused.variances, fused.scores, fused.det_id
+        [batch.image_ids[i] for i in image[order].tolist()],
+        np.array(names, dtype=object)[which[order]].tolist(),
+        fused.boxes[order],
+        variances[order],
+        scores.take(order),
+        det_id[order],
     )
 
 

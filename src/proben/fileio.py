@@ -29,53 +29,8 @@ from .errors import InvalidScoreError, ParseError
 from .geometry import BBox, first_invalid_box
 
 
-def _extend_box(box_values: array, raw, path, line_no) -> None:
-    """Append a bbox field's four coordinates to box_values, before the
-    checks of ``BBox``."""
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ParseError(path, line_no, f"bbox must be [x, y, w, h], got {raw!r}")
-    start = len(box_values)
-    try:
-        box_values.extend(raw)  # numbers convert as float() converts them
-    except (TypeError, OverflowError):
-        del box_values[start:]  # extend stops part-way; float() names the fault
-        try:
-            box_values.extend([float(v) for v in raw])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(path, line_no, f"invalid bbox: {exc}") from exc
-
-
 _SCORE_KINDS = ("logits", "posteriors", "score")
-
-
-def _score_row(record, path, line_no, num_classes) -> Tuple[str, List[float]]:
-    """The record's score kind and its (K+1)-way row, before the score checks
-    of ``ClassScores``; a ``score`` record becomes binary posteriors."""
-    present = [k for k in _SCORE_KINDS if k in record]
-    if len(present) != 1:
-        raise ParseError(
-            path, line_no, f"exactly one of logits/posteriors/score required, got {present}"
-        )
-    kind = present[0]
-    try:
-        if kind != "score":
-            row = [float(v) for v in record[kind]]
-            if len(row) < 2:
-                raise ValueError("score vector has no foreground classes")
-            return kind, row
-        score = float(record["score"])
-        class_id = int(record.get("class_id", 1))
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {score}")
-        k = num_classes if num_classes is not None else max(class_id, 1)
-        if not 1 <= class_id <= k:
-            raise ValueError(f"class_id {class_id} out of range 1..{k}")
-        row = [0.0] * (k + 1)
-        row[0] = 1.0 - score
-        row[class_id] = score
-        return kind, row
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(path, line_no, f"invalid {kind}: {exc}") from exc
+_INF, _NAN = math.inf, math.nan
 
 
 def _build_scores(kind: str, rows) -> ClassScores:
@@ -101,6 +56,17 @@ def _boxes(values: array) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, 4)
 
 
+def _extend_slowly(values: array, start: int, raw, what: str, path, line_no) -> None:
+    """Put raw's entries at values[start:] as ``float()`` converts them, after
+    an ``array.extend`` (which takes numbers only) stopped; a ParseError for
+    what if one of them does not convert."""
+    del values[start:]
+    try:
+        values.extend([float(v) for v in raw])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(path, line_no, f"invalid {what}: {exc}") from exc
+
+
 def _raise_first_invalid(path, box_values: array, box_lines: array, pending=None) -> None:
     """Raise the error of the first line whose box, or whose score row, fails
     on its own; return if every one passes.
@@ -117,9 +83,10 @@ def _raise_first_invalid(path, box_values: array, box_lines: array, pending=None
             BBox(*boxes[row].tolist())
         except ValueError as exc:
             bad.append((box_lines[row], 0, ParseError(path, box_lines[row], f"invalid bbox: {exc}")))
-    for kind, (values, lines) in (pending or {}).items():
-        width = len(values) // len(lines) if lines else 0
-        for i, line_no in enumerate(lines):
+    for kind, (values, rows) in (pending or {}).items():
+        width = len(values) // len(rows) if rows else 0
+        for i, row in enumerate(rows):
+            line_no = box_lines[row]
             try:
                 _check_row(path, line_no, kind, values[i * width : (i + 1) * width])
             except ParseError as exc:
@@ -166,7 +133,7 @@ def read_json(path):
             raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
 
 
-_decode = json.JSONDecoder().raw_decode
+_scan = json.JSONDecoder().scan_once  # what raw_decode calls
 
 
 def _iter_records(path, text=None):
@@ -181,15 +148,15 @@ def _iter_records(path, text=None):
                 if not line:
                     continue
                 try:
-                    record, end = _decode(line)
-                except json.JSONDecodeError:
+                    record, end = _scan(line, 0)
+                except (StopIteration, json.JSONDecodeError):
                     end = -1
                 if end != len(line):  # json.loads gives the error message
                     try:
                         record = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
-                if not isinstance(record, dict):
+                if type(record) is not dict:
                     raise ParseError(path, line_no, "each line must hold a JSON object")
                 yield line_no, record
         except UnicodeDecodeError:
@@ -206,16 +173,16 @@ def read_detections(
 ) -> DetectionColumns:
     """Parse a detection file into columns; det_ids are assigned in ingest order.
 
-    Boxes are checked together, and the score rows of each kind are checked
-    and converted together, in one ``ClassScores`` constructor call per
-    kind. An error is still reported at the first bad line, with the message
-    a reader checking record by record gives.
+    Each record's fields go straight into the column arrays. Boxes are
+    checked together, and the score rows of each kind are checked and
+    converted together, in one ``ClassScores`` constructor call per kind. An
+    error is still reported at the first bad line, with the message a reader
+    checking record by record gives.
     """
     image_ids: List[str] = []
     modalities: List[str] = []
-    kinds: List[str] = []
     box_values, lines, variances = array("d"), array("q"), array("d")
-    # per score kind: the row values back to back, and each row's line
+    # per score kind: the row values back to back, and each row's index
     pending = {kind: (array("d"), array("q")) for kind in _SCORE_KINDS}
     try:
         for line_no, record in _iter_records(path):
@@ -226,42 +193,83 @@ def read_detections(
             modality = modality_override or record.get("modality")
             if not modality:
                 raise ParseError(path, line_no, "missing modality (and no override given)")
-            _extend_box(box_values, record.get("bbox"), path, line_no)
+            # the box, before the checks of BBox
+            raw = record.get("bbox")
+            if type(raw) is not list or len(raw) != 4:
+                raise ParseError(path, line_no, f"bbox must be [x, y, w, h], got {raw!r}")
+            row = len(lines)
+            try:
+                box_values.extend(raw)
+            except (TypeError, OverflowError):
+                _extend_slowly(box_values, 4 * row, raw, "bbox", path, line_no)
             lines.append(line_no)
-            kind, row = _score_row(record, path, line_no, num_classes)
-            k = len(row) - 1
+            # the (K+1)-way score row, before the checks of ClassScores; a
+            # score record becomes binary posteriors
+            if "logits" in record and "posteriors" not in record and "score" not in record:
+                kind = "logits"
+            else:
+                present = [k for k in _SCORE_KINDS if k in record]
+                if len(present) != 1:
+                    message = f"exactly one of logits/posteriors/score required, got {present}"
+                    raise ParseError(path, line_no, message)
+                kind = present[0]
+            values, rows = pending[kind]
+            start = len(values)
+            raw = record[kind]
+            if kind == "score":
+                try:
+                    score = float(raw)
+                    class_id = int(record.get("class_id", 1))
+                    if not 0.0 <= score <= 1.0:
+                        raise ValueError(f"score must lie in [0, 1], got {score}")
+                    k = num_classes if num_classes is not None else max(class_id, 1)
+                    if not 1 <= class_id <= k:
+                        raise ValueError(f"class_id {class_id} out of range 1..{k}")
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(path, line_no, f"invalid score: {exc}") from exc
+                raw = [0.0] * (k + 1)
+                raw[0] = 1.0 - score
+                raw[class_id] = score
+            try:
+                values.extend(raw)
+            except (TypeError, OverflowError):
+                _extend_slowly(values, start, raw, kind, path, line_no)
+            k = len(values) - start - 1
+            if k < 1:
+                del values[start:]
+                message = "score vector has no foreground classes"
+                raise ParseError(path, line_no, f"invalid {kind}: {message}")
             if num_classes is None:
                 num_classes = k
             elif k != num_classes:
-                _check_row(path, line_no, kind, row)
+                faulty = values[start:].tolist()
+                del values[start:]
+                _check_row(path, line_no, kind, faulty)
                 raise ParseError(
                     path, line_no, f"inconsistent class count: {k} vs expected {num_classes}"
                 )
-            values, kind_lines = pending[kind]
-            values.extend(row)
-            kind_lines.append(line_no)
+            rows.append(row)
             variance = record.get("box_variance")
-            try:
-                if variance is not None:
+            if variance is None:
+                variance = _NAN
+            elif not (type(variance) is float and 0.0 < variance < _INF and 1.0 / variance < _INF):
+                try:
                     variance = float(variance)
                     check_box_variance(variance)
                     if not math.isfinite(1.0 / variance):
                         raise ValueError(f"box_variance {variance} has no finite inverse")
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(path, line_no, str(exc)) from exc
+            variances.append(variance)
             image_ids.append(str(record["image_id"]))
             modalities.append(str(modality))
-            variances.append(math.nan if variance is None else variance)
-            kinds.append(kind)
 
-        width = (num_classes or 1) + 1
-        logits = np.empty((len(kinds), width))
+        logits = np.empty((len(lines), (num_classes or 1) + 1))
         posteriors = np.empty_like(logits)
-        kind_of = np.array(kinds, dtype=object)
-        for kind, (values, kind_lines) in pending.items():
-            if kind_lines:
-                stack = _build_scores(kind, np.frombuffer(values).reshape(len(kind_lines), -1))
-                rows = kind_of == kind
+        for kind, (values, rows) in pending.items():
+            if rows:
+                stack = _build_scores(kind, np.frombuffer(values).reshape(len(rows), -1))
+                rows = np.frombuffer(rows, dtype=np.int64)
                 logits[rows], posteriors[rows] = stack.logits, stack.posteriors
     except Exception:  # a box or score row that failed earlier is reported first
         _raise_first_invalid(path, box_values, lines, pending)
@@ -273,7 +281,7 @@ def read_detections(
         boxes=_boxes(box_values),
         variances=np.frombuffer(variances),
         scores=ClassScores(logits=logits, posteriors=posteriors),
-        det_id=np.arange(start_det_id, start_det_id + len(kinds), dtype=np.int64),
+        det_id=np.arange(start_det_id, start_det_id + len(lines), dtype=np.int64),
     )
 
 
@@ -360,7 +368,7 @@ def read_ground_truth(
     The first record must be the meta header declaring the class count.
     """
     gt_images: List[str] = []
-    class_ids, ignore = array("q"), []
+    class_ids, ignored = array("q"), []
     box_values, lines = array("d"), array("q")
     tags: Dict[str, str] = {}
     image_ids = set()
@@ -399,7 +407,13 @@ def read_ground_truth(
                 tags[image_id] = tag
             if "bbox" not in record:
                 continue  # image declaration only
-            _extend_box(box_values, record["bbox"], path, line_no)
+            raw = record["bbox"]
+            if type(raw) is not list or len(raw) != 4:
+                raise ParseError(path, line_no, f"bbox must be [x, y, w, h], got {raw!r}")
+            try:
+                box_values.extend(raw)
+            except (TypeError, OverflowError):
+                _extend_slowly(box_values, 4 * len(lines), raw, "bbox", path, line_no)
             lines.append(line_no)
             try:
                 class_id = int(record["class_id"])
@@ -409,9 +423,14 @@ def read_ground_truth(
                 raise ParseError(
                     path, line_no, f"class_id {class_id} out of range 1..{num_classes}"
                 )
+            ignore = record.get("ignore")
+            if ignore is None:
+                ignore = False
+            elif type(ignore) is not bool:
+                raise ParseError(path, line_no, f"ignore must be true or false, got {ignore!r}")
             gt_images.append(image_id)
             class_ids.append(class_id)
-            ignore.append(bool(record.get("ignore", False)))
+            ignored.append(ignore)
         if num_classes is None:
             raise ParseError(path, 1, "ground-truth file must start with a meta header")
     except Exception:  # a box that failed earlier is reported first
@@ -422,7 +441,7 @@ def read_ground_truth(
         image_id=gt_images,
         boxes=_boxes(box_values),
         class_id=np.frombuffer(class_ids, dtype=np.int64),
-        ignore=np.array(ignore, dtype=bool),
+        ignore=np.array(ignored, dtype=bool),
     )
     return gts, tags, num_classes, class_names, sorted(image_ids)
 

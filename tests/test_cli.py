@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from proben.box_fusion import BOX_FUSION_MODES
 from proben.cli import main
+from proben.engine import SCORE_FUSION_MODES
 
 
 def write_jsonl(path, records):
@@ -367,6 +369,23 @@ class TestExitCodes:
         argv = ["fuse", str(rgb), str(thermal), "--iou-threshold", "1.5", "--out", str(out)]
         assert main(argv) == 3
 
+    @pytest.mark.parametrize("threshold", ["0", "1", "2", "nan", "-1"])
+    def test_bad_iou_threshold_on_eval_returns_3_as_on_fuse(
+        self, fig3_inputs, gt_file, tmp_path, capsys, threshold
+    ):
+        rgb, thermal = fig3_inputs
+        prefix = tmp_path / "report"
+        argv = ["eval", str(rgb), str(gt_file), f"--iou-threshold={threshold}",
+                "--out-prefix", str(prefix)]
+        assert main(argv) == 3
+        eval_error = capsys.readouterr().err
+        argv = ["fuse", str(rgb), str(thermal), f"--iou-threshold={threshold}",
+                "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 3
+        message = f"error: iou_threshold must lie in (0, 1), got {float(threshold)}\n"
+        assert eval_error == capsys.readouterr().err == message
+        assert not (tmp_path / "report.json").exists()
+
     def test_bad_assignment_returns_3(self, fig3_inputs, tmp_path):
         rgb, thermal = fig3_inputs
         out = tmp_path / "out.jsonl"
@@ -551,6 +570,80 @@ class TestExitCodes:
         assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path)]) == 2
         self.clean_error(capsys, f"{spec_path}:{line}: {message}")
         assert not out.exists()
+
+
+class TestIgnoreFlag:
+    """One image, two ground truths, one detection on the first of them."""
+
+    def eval(self, tmp_path, ignore):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(
+            '{"meta": {"num_classes": 1}}\n'
+            f'{{"image_id": "i", "bbox": [0, 0, 10, 20], "class_id": 1, "ignore": {ignore}}}\n'
+            '{"image_id": "i", "bbox": [50, 50, 10, 20], "class_id": 1}\n'
+        )
+        dets = tmp_path / "dets.jsonl"
+        write_jsonl(dets, [{"image_id": "i", "modality": "rgb", "bbox": [0, 0, 10, 20],
+                            "posteriors": [0.2, 0.8]}])
+        prefix = tmp_path / "report"
+        return main(["eval", str(dets), str(gt), "--out-prefix", str(prefix)]), prefix
+
+    def test_false_counts_the_box(self, tmp_path):
+        code, prefix = self.eval(tmp_path, "false")
+        assert code == 0
+        overall = json.loads(prefix.with_suffix(".json").read_text())["subsets"]["all"]
+        assert (overall["num_gt"], overall["tp"], overall["mean_ap"]) == ({"1": 2}, 1, 0.5)
+
+    def test_true_leaves_the_box_out(self, tmp_path):
+        code, prefix = self.eval(tmp_path, "true")
+        assert code == 0
+        overall = json.loads(prefix.with_suffix(".json").read_text())["subsets"]["all"]
+        assert (overall["num_gt"], overall["tp"]) == ({"1": 1}, 0)
+
+    @pytest.mark.parametrize("ignore", ['"false"', "0"])
+    def test_other_values_return_2_at_their_line(self, tmp_path, capsys, ignore):
+        code, prefix = self.eval(tmp_path, ignore)
+        assert code == 2
+        spelled = repr(json.loads(ignore))
+        assert capsys.readouterr().err.endswith(
+            f"gt.jsonl:2: ignore must be true or false, got {spelled}\n"
+        )
+        assert not prefix.with_suffix(".json").exists()
+
+
+@pytest.fixture(scope="module")
+def synth_300(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("synth")
+    assert main(["synth", "--out-dir", str(directory), "--seed", "5", "--images", "300"]) == 0
+    return directory
+
+
+@pytest.mark.parametrize("objective", ["lamr", "ap"])
+@pytest.mark.parametrize("box_fusion", BOX_FUSION_MODES)
+@pytest.mark.parametrize("score_fusion", SCORE_FUSION_MODES)
+def test_calibrate_surface_equals_eval_of_the_fused_file(
+    synth_300, tmp_path, score_fusion, box_fusion, objective
+):
+    """On logits inputs, calibrate's value at a grid point equals what eval
+    reports for fuse's output under the same calibration, through the files."""
+    inputs = [str(synth_300 / "det_rgb.jsonl"), str(synth_300 / "det_thermal.jsonl")]
+    gt = str(synth_300 / "gt.jsonl")
+    fusion = ["--score-fusion", score_fusion, "--box-fusion", box_fusion]
+    argv = ["calibrate", *inputs, *fusion, "--ground-truth", gt, "--calibrate-modality", "rgb",
+            "--grid-t", "0.5:1.5:3", "--grid-b=-0.5:0.5:3", "--objective", objective,
+            "--out-prefix", str(tmp_path / "cal")]
+    assert main(argv) == 0
+    rows = (tmp_path / "cal.surface.csv").read_text().splitlines()[1:]
+    surface = {(float(t), float(b)): float(v) for t, b, v in (row.split(",") for row in rows)}
+    key = "lamr" if objective == "lamr" else "mean_ap"
+    for t, b in [(1.0, 0.0), (1.5, 0.5)]:
+        fused = tmp_path / "fused.jsonl"
+        argv = ["fuse", *inputs, *fusion, f"--temperature=rgb={t}", f"--shift=rgb={b}",
+                "--out", str(fused)]
+        assert main(argv) == 0
+        assert main(["eval", str(fused), gt, "--out-prefix", str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert surface[t, b] == report["subsets"]["all"][key], (t, b)
 
 
 class TestVarianceChecks:

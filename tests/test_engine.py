@@ -622,6 +622,52 @@ class TestPairsEqualAllPairs:
         assert self.check(DetectionBatch([])) == 0
 
 
+def columns_of(batch, axes=(0, 1, 2, 3), image_ids=None, first_det_id=0):
+    """A batch's detections as columns, box coordinates in the given order."""
+    names = image_ids or batch.image_ids
+    return DetectionColumns(
+        [names[i] for i in batch.image_index.tolist()], batch.modalities,
+        batch.boxes[:, list(axes)], batch.variances, batch.scores,
+        first_det_id + np.arange(len(batch.det_ids)),
+    )
+
+
+TRANSPOSED = (1, 0, 3, 2)
+
+
+class TestSweepAxis:
+    """Each image is swept along the axis that offers it fewer candidate pairs."""
+
+    def candidates(self, monkeypatch, sets):
+        """The batch of the sets, and how many pairs it handed to box_iou."""
+        counted, box_iou = [], engine.box_iou
+
+        def counting_box_iou(a, b):
+            counted.append(len(a))
+            return box_iou(a, b)
+
+        monkeypatch.setattr(engine, "box_iou", counting_box_iou)
+        batch = DetectionBatch(sets)
+        monkeypatch.undo()
+        return batch, sum(counted)
+
+    def test_vertical_stack_is_swept_along_y(self, monkeypatch):
+        batch, candidates = self.candidates(monkeypatch, [columns_of(stacked_boxes(1000))])
+        assert candidates == len(batch.pairs[0]) == 3 * 1000 - 6
+
+    def test_each_image_takes_its_own_axis(self, monkeypatch):
+        stack = stacked_boxes(300)
+        row = columns_of(stack, TRANSPOSED, ["j"], first_det_id=300)
+        batch, candidates = self.candidates(monkeypatch, [columns_of(stack), row])
+        assert candidates == len(batch.pairs[0]) == 2 * (3 * 300 - 6)
+        assert TestPairsEqualAllPairs().check(batch) == candidates
+
+    @pytest.mark.parametrize("make", [narrow_far_boxes, staircase, stacked_boxes])
+    def test_transposed_scenes_keep_exactly_the_pairs(self, make):
+        batch = DetectionBatch([columns_of(make(), TRANSPOSED)])
+        assert TestPairsEqualAllPairs().check(batch) == len(make().pairs[0])
+
+
 def test_more_modalities_than_the_bitmask_holds_rejected():
     sets = [one_image([[0, 0, 5, 5]], [[0.3, 0.7]], [f"m{k}"]) for k in range(65)]
     with pytest.raises(ConfigurationError, match="at most 64 modalities"):

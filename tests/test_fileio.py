@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -399,6 +400,22 @@ class TestGroundTruthFile:
         with pytest.raises(ParseError, match="tag"):
             read_ground_truth(path)
 
+    @pytest.mark.parametrize("value, ignored", [("true", True), ("false", False), ("null", False)])
+    def test_ignore_is_a_boolean_or_null(self, tmp_path, value, ignored):
+        path = tmp_path / "gt.jsonl"
+        box = '"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 1'
+        path.write_text(f'{{"meta": {{"num_classes": 1}}}}\n{{{box}, "ignore": {value}}}\n{{{box}}}\n')
+        assert read_ground_truth(path)[0].ignore.tolist() == [ignored, False]
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "0.0", "[]", "{}"])
+    def test_ignore_of_another_type_rejected_at_its_line(self, tmp_path, value):
+        path = tmp_path / "gt.jsonl"
+        box = '"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 1'
+        path.write_text(f'{{"meta": {{"num_classes": 1}}}}\n{{{box}}}\n{{{box}, "ignore": {value}}}\n')
+        spelled = repr(json.loads(value))
+        with pytest.raises(ParseError, match=f":3: ignore must be true or false, got {re.escape(spelled)}"):
+            read_ground_truth(path)
+
 
 # --- the column readers against record-by-record references -----------------
 
@@ -543,7 +560,10 @@ def reference_read_ground_truth(path):
                 raise ParseError(path, line_no, "missing or invalid class_id") from None
             if not 1 <= class_id <= num_classes:
                 raise ParseError(path, line_no, f"class_id {class_id} out of range 1..{num_classes}")
-            gts.append(GroundTruth(image_id, box, class_id, bool(record.get("ignore", False))))
+            ignore = record.get("ignore")
+            if ignore is not None and type(ignore) is not bool:
+                raise ParseError(path, line_no, f"ignore must be true or false, got {ignore!r}")
+            gts.append(GroundTruth(image_id, box, class_id, bool(ignore)))
     if num_classes is None:
         raise ParseError(path, 1, "ground-truth file must start with a meta header")
     return gts, tags, num_classes, class_names, sorted(image_ids)
@@ -698,6 +718,10 @@ def actual_columns(columns):
     }
 
 
+# null reads as an absent flag; the others are refused
+OTHER_IGNORE_VALUES = st.sampled_from([None, "false", "true", 0, 1, 0.0, [], {}])
+
+
 class TestColumnReaders:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(detection_file())
@@ -735,7 +759,7 @@ class TestColumnReaders:
                 record["bbox"] = box
                 record["class_id"] = data.draw(st.sampled_from([1, 2, 3, 0, "x", None, math.inf]))
                 if data.draw(st.booleans()):
-                    record["ignore"] = data.draw(st.booleans())
+                    record["ignore"] = data.draw(st.booleans() | OTHER_IGNORE_VALUES)
             line = json.dumps(record)
             if data.draw(st.integers(0, 15)) == 0:
                 line = line[:-3]  # truncated: invalid JSON
