@@ -93,6 +93,9 @@ def grid_search(
     if any(t <= 0 for t in t_grid.values()):
         raise ConfigurationError("temperature grid must be strictly positive")
     batch = DetectionBatch(detection_sets)
+    if modality not in batch.rows:
+        held = batch.modality_names
+        raise ConfigurationError(f"no input holds modality {modality!r}, only {held}")
     gts = GroundTruthColumns.of(gts)
     if not image_ids:
         image_ids = sorted(set(gts.image_id) | set(batch.image_ids))

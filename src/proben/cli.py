@@ -322,11 +322,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _add_fusion_flags(parser):
+def _add_fusion_flags(parser, score_fusion_modes=SCORE_FUSION_MODES):
     parser.add_argument("--iou-threshold", type=float, default=0.5)
-    parser.add_argument(
-        "--score-fusion", default="proben", choices=[*SCORE_FUSION_MODES, "pooling"]
-    )
+    parser.add_argument("--score-fusion", default="proben", choices=score_fusion_modes)
     parser.add_argument("--box-fusion", default="avg", choices=BOX_FUSION_MODES)
     parser.add_argument("--prior", default="uniform")
     parser.add_argument("--temperature", action="append", metavar="MODALITY=T")
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse = sub.add_parser("fuse", help="fuse one or more detection files")
     p_fuse.add_argument("inputs", nargs="+")
     p_fuse.add_argument("--out", required=True)
-    _add_fusion_flags(p_fuse)
+    _add_fusion_flags(p_fuse, [*SCORE_FUSION_MODES, "pooling"])
     p_fuse.set_defaults(func=cmd_fuse)
 
     p_eval = sub.add_parser("eval", help="evaluate detections against ground truth")

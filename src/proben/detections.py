@@ -21,14 +21,22 @@ from .geometry import BBox, box_array, first_invalid_box
 POSTERIOR_EPS = 1e-7
 
 
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction) along the last axis."""
+def _finite(logits) -> np.ndarray:
     arr = np.asarray(logits, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise InvalidScoreError(f"softmax requires finite entries, got {arr!r}")
+    return arr
+
+
+def _softmax(arr: np.ndarray) -> np.ndarray:
     shifted = arr - arr.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def softmax(logits) -> np.ndarray:
+    """Numerically stable softmax (max-subtraction) along the last axis."""
+    return _softmax(_finite(logits))
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -72,22 +80,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassScores:
-    """(K+1)-way score vectors along the last axis: logits plus the matching
-    softmax posteriors.
+    """(K+1)-way logit vectors along the last axis.
 
     One detection holds one vector; a stack of shape (N, K+1) holds the rows
-    of N detections, and every method then answers per row. The ranking
-    fields (score, foreground argmax, log-posteriors) are derived once per
-    instance, on first use.
+    of N detections, and every method then answers per row. The posteriors
+    (the softmax of the logits) and the ranking fields (score, foreground
+    argmax, log-posteriors) are derived once per instance, on first use, so
+    what fusion ranks by is what a writer of the logits writes.
     """
 
     logits: np.ndarray
-    posteriors: np.ndarray
 
     @classmethod
     def from_logits(cls, logits) -> "ClassScores":
-        logits = np.asarray(logits, dtype=float)
-        return cls(logits=_freeze(logits), posteriors=_freeze(softmax(logits)))
+        return cls(logits=_freeze(_finite(logits)))
 
     @classmethod
     def from_posteriors(cls, posteriors) -> "ClassScores":
@@ -100,37 +106,43 @@ class ClassScores:
         off = np.abs(total - 1.0) > 1e-6
         if np.any(off):
             raise InvalidScoreError(f"posteriors must sum to 1, got {total[off][0]}")
-        p = np.clip(p, 0.0, 1.0) / total
-        return cls(logits=_freeze(logits_from_posteriors(p)), posteriors=_freeze(p))
+        return cls(logits=_freeze(logits_from_posteriors(np.clip(p, 0.0, 1.0) / total)))
 
     @classmethod
     def stack(cls, rows: Sequence["ClassScores"]) -> "ClassScores":
-        """A stack holding the given score vectors as its rows."""
-        return cls(
-            logits=_freeze([r.logits for r in rows]),
-            posteriors=_freeze([r.posteriors for r in rows]),
-        )
+        """A stack holding the given score vectors as its rows; with none, an
+        empty stack of one-class rows."""
+        return cls(logits=_freeze([r.logits for r in rows] or np.zeros((0, 2))))
 
     def __eq__(self, other):
         if not isinstance(other, ClassScores):
             return NotImplemented
-        return np.array_equal(self.logits, other.logits) and np.array_equal(
-            self.posteriors, other.posteriors
-        )
+        return np.array_equal(self.logits, other.logits)
 
     def take(self, rows) -> "ClassScores":
-        """The stack of the given rows; log-posteriors already derived for
-        this stack carry over."""
-        taken = ClassScores(logits=self.logits[rows], posteriors=self.posteriors[rows])
-        if "log_posteriors" in self.__dict__:  # cached_property's slot
-            log_posteriors = self.log_posteriors[rows]
-            log_posteriors.flags.writeable = False
-            taken.__dict__["log_posteriors"] = log_posteriors
+        """The stack of the given rows; the fields already derived for this
+        stack carry over."""
+        taken = ClassScores(logits=self.logits[rows])
+        derived = self.__dict__  # the slots of the cached properties below
+        for name in ("posteriors", "log_posteriors"):
+            if name in derived:
+                values = derived[name][rows]
+                values.flags.writeable = False
+                taken.__dict__[name] = values
+        if "_ranking" in derived:
+            score, cls = derived["_ranking"]
+            taken.__dict__["_ranking"] = score[rows], cls[rows]
         return taken
 
     @property
     def num_foreground(self) -> int:
-        return self.posteriors.shape[-1] - 1
+        return self.logits.shape[-1] - 1
+
+    @cached_property
+    def posteriors(self) -> np.ndarray:
+        out = _softmax(self.logits)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def log_posteriors(self) -> np.ndarray:
@@ -149,10 +161,11 @@ class ClassScores:
         return self.posteriors[np.arange(len(cls)), cls], cls
 
     def row(self, i: int) -> "ClassScores":
-        """Row i of a stack, taking its ranking fields from the stack's."""
-        score, cls = self._ranking
-        row = ClassScores(logits=self.logits[i], posteriors=self.posteriors[i])
-        row.__dict__["_ranking"] = (float(score[i]), int(cls[i]))  # cached_property's slot
+        """Row i of a stack, with the stack's ranking fields if it derived them."""
+        row = ClassScores(logits=self.logits[i])
+        if "_ranking" in self.__dict__:  # cached_property's slot
+            score, cls = self._ranking
+            row.__dict__["_ranking"] = (float(score[i]), int(cls[i]))
         return row
 
     def argmax_foreground(self):
@@ -215,11 +228,6 @@ class GroundTruth:
             raise ValueError(f"class_id must be a foreground class >= 1, got {self.class_id}")
 
 
-def _empty_scores() -> ClassScores:
-    """An empty stack of one-class rows."""
-    return ClassScores(logits=np.zeros((0, 2)), posteriors=np.zeros((0, 2)))
-
-
 @dataclass(frozen=True)
 class DetectionColumns:
     """Detections as columns, one row per detection: what a list of
@@ -260,9 +268,7 @@ class DetectionColumns:
                 [np.nan if d.box_variance is None else d.box_variance for d in detections],
                 dtype=float,
             ),
-            scores=ClassScores.stack([d.scores for d in detections])
-            if detections
-            else _empty_scores(),
+            scores=ClassScores.stack([d.scores for d in detections]),
             det_id=np.array([d.det_id for d in detections], dtype=np.int64),
         )
 
@@ -271,7 +277,7 @@ class DetectionColumns:
         """The rows of every set (columns or a ``Detection`` sequence), in
         order; empty sets add nothing."""
         sets = [s for s in map(cls.of, sets) if len(s)]
-        widths = sorted({s.scores.posteriors.shape[1] for s in sets})
+        widths = sorted({s.scores.logits.shape[1] for s in sets})
         if len(widths) > 1:
             raise ConfigurationError(f"inconsistent class counts across inputs: {widths}")
         if not sets:
@@ -283,10 +289,7 @@ class DetectionColumns:
             modality=[m for s in sets for m in s.modality],
             boxes=np.concatenate([s.boxes for s in sets]),
             variances=np.concatenate([s.variances for s in sets]),
-            scores=ClassScores(
-                logits=np.concatenate([s.scores.logits for s in sets]),
-                posteriors=np.concatenate([s.scores.posteriors for s in sets]),
-            ),
+            scores=ClassScores(logits=np.concatenate([s.scores.logits for s in sets])),
             det_id=np.concatenate([s.det_id for s in sets]),
         )
 

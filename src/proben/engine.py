@@ -193,24 +193,13 @@ def pool(detection_sets: Sequence) -> DetectionColumns:
 
 def _calibrated(batch: DetectionBatch, calibration: Mapping[str, CalibrationParams]):
     """All score rows after per-modality calibration, one call per modality."""
-    scores = batch.scores
-    changed: Dict[str, ClassScores] = {}
+    logits = batch.scores.logits.copy()
     for modality, params in calibration.items():
         rows = batch.rows.get(modality)
-        if rows is None:
-            continue
-        raw = scores.take(rows)
-        calibrated = calibrate_scores(raw, params)
-        if calibrated is not raw:
-            changed[modality] = calibrated
-    if not changed:
-        return scores
-    logits, posteriors = scores.logits.copy(), scores.posteriors.copy()
-    for modality, calibrated in changed.items():
-        logits[batch.rows[modality]] = calibrated.logits
-        posteriors[batch.rows[modality]] = calibrated.posteriors
-    logits.flags.writeable = posteriors.flags.writeable = False
-    return ClassScores(logits=logits, posteriors=posteriors)
+        if rows is not None:
+            logits[rows] = calibrate_scores(batch.scores.take(rows), params).logits
+    logits.flags.writeable = False
+    return ClassScores(logits=logits)
 
 
 def _select_per_modality(members: Sequence[int], modalities: Sequence[str]) -> List[int]:
@@ -359,11 +348,9 @@ def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
     if config.score_fusion == "proben":
         scores.log_posteriors  # derived once for the stack; each take of it keeps its rows
     logits = np.empty((len(sizes), scores.logits.shape[1]))
-    posteriors = np.empty_like(logits)
     for numbers, positions in layouts:
-        group = _fuse_scores(members[positions], scores, config, prior)
-        logits[numbers], posteriors[numbers] = group.logits, group.posteriors
-    fused = ClassScores(logits=logits, posteriors=posteriors)
+        logits[numbers] = _fuse_scores(members[positions], scores, config, prior).logits
+    fused = ClassScores(logits=logits)
 
     if config.box_fusion == "argmax":
         boxes = batch.boxes[seed]

@@ -5,7 +5,9 @@ Detection records carry exactly one of ``logits``, ``posteriors`` or
 ``{"meta": {"num_classes": K, "class_names": [...]}}``; records without a
 ``bbox`` declare an image (and optionally its day/night tag) with no object.
 Floats are serialized via shortest round-trip representation, so a
-write/parse cycle reproduces every numeric field exactly.
+write/parse cycle reproduces every numeric field exactly. Scores are held and
+written as logits (a ``posteriors`` or ``score`` record as the log of its
+clamped posteriors), so the cycle also reproduces every ranking score.
 """
 
 from __future__ import annotations
@@ -265,12 +267,10 @@ def read_detections(
             modalities.append(str(modality))
 
         logits = np.empty((len(lines), (num_classes or 1) + 1))
-        posteriors = np.empty_like(logits)
         for kind, (values, rows) in pending.items():
             if rows:
                 stack = _build_scores(kind, np.frombuffer(values).reshape(len(rows), -1))
-                rows = np.frombuffer(rows, dtype=np.int64)
-                logits[rows], posteriors[rows] = stack.logits, stack.posteriors
+                logits[np.frombuffer(rows, dtype=np.int64)] = stack.logits
     except Exception:  # a box or score row that failed earlier is reported first
         _raise_first_invalid(path, box_values, lines, pending)
         raise
@@ -280,7 +280,7 @@ def read_detections(
         modality=modalities,
         boxes=_boxes(box_values),
         variances=np.frombuffer(variances),
-        scores=ClassScores(logits=logits, posteriors=posteriors),
+        scores=ClassScores(logits=logits),
         det_id=np.arange(start_det_id, start_det_id + len(lines), dtype=np.int64),
     )
 

@@ -91,8 +91,8 @@ def calibrate_scores(scores: ClassScores, params: CalibrationParams) -> ClassSco
 
     A shift applied to every class would cancel in the softmax; restricting
     it to foreground entries reproduces the scalar relative-logit shift.
-    Identity parameters (T=1, b=0) return the scores unchanged, so that
-    posteriors read from a file are not re-derived through log and softmax.
+    Identity parameters (T=1, b=0) return the scores unchanged, with what
+    they have derived.
     """
     if params.temperature == 1.0 and params.shift == 0.0:
         return scores

@@ -181,8 +181,7 @@ class _Fired:
             modality=[modality] * n,
             boxes=np.frombuffer(self.boxes).reshape(-1, 4),
             variances=np.frombuffer(self.variances),
-            # one softmax per modality
-            scores=ClassScores.from_logits(logits) if n else ClassScores(logits, logits),
+            scores=ClassScores(logits),
             det_id=np.arange(first_id, first_id + n, dtype=np.int64),
         )
 

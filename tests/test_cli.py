@@ -6,6 +6,7 @@ import pytest
 
 from proben.box_fusion import BOX_FUSION_MODES
 from proben.cli import main
+from proben.detections import softmax
 from proben.engine import SCORE_FUSION_MODES
 
 
@@ -423,16 +424,31 @@ class TestExitCodes:
         from proben.engine import SCORE_FUSION_MODES
 
         parser = build_parser()
-        for argv in (["fuse", "in.jsonl", "--out", "o"],
-                     ["calibrate", "in.jsonl", "--calibrate-modality", "rgb"]):
-            for mode in [*SCORE_FUSION_MODES, "pooling"]:
+        fuse = ["fuse", "in.jsonl", "--out", "o"]
+        calibrate = ["calibrate", "in.jsonl", "--calibrate-modality", "rgb"]
+        # pooling fuses nothing, so calibrate has nothing to calibrate with it
+        for argv, offered, refused in ((fuse, [*SCORE_FUSION_MODES, "pooling"], ["linear"]),
+                                       (calibrate, SCORE_FUSION_MODES, ["linear", "pooling"])):
+            for mode in offered:
                 assert parser.parse_args([*argv, "--score-fusion", mode]).score_fusion == mode
             for mode in BOX_FUSION_MODES:
                 assert parser.parse_args([*argv, "--box-fusion", mode]).box_fusion == mode
-            with pytest.raises(SystemExit) as exit_info:
-                parser.parse_args([*argv, "--score-fusion", "linear"])
-            assert exit_info.value.code == 2
-            assert "invalid choice: 'linear'" in capsys.readouterr().err
+            for mode in refused:
+                with pytest.raises(SystemExit) as exit_info:
+                    parser.parse_args([*argv, "--score-fusion", mode])
+                assert exit_info.value.code == 2
+                assert f"invalid choice: '{mode}'" in capsys.readouterr().err
+
+    def test_calibrate_modality_that_no_input_holds_returns_3(
+        self, fig3_inputs, gt_file, tmp_path, capsys
+    ):
+        rgb, thermal = fig3_inputs
+        prefix = tmp_path / "cal"
+        argv = ["calibrate", str(rgb), str(thermal), "--ground-truth", str(gt_file),
+                "--calibrate-modality", "rbg", "--grid-t", "0.5:2:4", "--out-prefix", str(prefix)]
+        assert main(argv) == 3
+        self.clean_error(capsys, "'rbg'", "'rgb', 'thermal'")
+        assert not (tmp_path / "cal.surface.csv").exists()
 
     @staticmethod
     def clean_error(capsys, *named):
@@ -618,16 +634,34 @@ def synth_300(tmp_path_factory):
     return directory
 
 
+@pytest.fixture(scope="module")
+def synth_300_thermal_posteriors(synth_300, tmp_path_factory):
+    """synth_300 with its thermal detections rewritten as posteriors records."""
+    directory = tmp_path_factory.mktemp("posteriors")
+    for name in ("gt.jsonl", "det_rgb.jsonl"):
+        (directory / name).write_bytes((synth_300 / name).read_bytes())
+    records = read_jsonl(synth_300 / "det_thermal.jsonl")
+    for record in records:
+        record["posteriors"] = softmax(record.pop("logits")).tolist()
+    write_jsonl(directory / "det_thermal.jsonl", records)
+    return directory
+
+
+@pytest.mark.parametrize("thermal", ["logits", "posteriors"])
 @pytest.mark.parametrize("objective", ["lamr", "ap"])
 @pytest.mark.parametrize("box_fusion", BOX_FUSION_MODES)
 @pytest.mark.parametrize("score_fusion", SCORE_FUSION_MODES)
 def test_calibrate_surface_equals_eval_of_the_fused_file(
-    synth_300, tmp_path, score_fusion, box_fusion, objective
+    request, tmp_path, score_fusion, box_fusion, objective, thermal
 ):
-    """On logits inputs, calibrate's value at a grid point equals what eval
-    reports for fuse's output under the same calibration, through the files."""
-    inputs = [str(synth_300 / "det_rgb.jsonl"), str(synth_300 / "det_thermal.jsonl")]
-    gt = str(synth_300 / "gt.jsonl")
+    """On logits inputs, and with thermal given as posteriors records,
+    calibrate's value at a grid point equals what eval reports for fuse's
+    output under the same calibration, through the files."""
+    data = request.getfixturevalue(
+        "synth_300" if thermal == "logits" else "synth_300_thermal_posteriors"
+    )
+    inputs = [str(data / "det_rgb.jsonl"), str(data / "det_thermal.jsonl")]
+    gt = str(data / "gt.jsonl")
     fusion = ["--score-fusion", score_fusion, "--box-fusion", box_fusion]
     argv = ["calibrate", *inputs, *fusion, "--ground-truth", gt, "--calibrate-modality", "rgb",
             "--grid-t", "0.5:1.5:3", "--grid-b=-0.5:0.5:3", "--objective", objective,
@@ -644,6 +678,41 @@ def test_calibrate_surface_equals_eval_of_the_fused_file(
         assert main(["eval", str(fused), gt, "--out-prefix", str(tmp_path / "eval")]) == 0
         report = json.loads((tmp_path / "eval.json").read_text())
         assert surface[t, b] == report["subsets"]["all"][key], (t, b)
+
+
+@pytest.mark.parametrize("score_fusion", [*SCORE_FUSION_MODES, "pooling"])
+def test_scores_beyond_the_clamp_rank_alike_in_eval_fuse_and_calibrate(tmp_path, score_fusion):
+    """Scores above 1 - 1e-7 are held clamped from ingest on: eval of the raw
+    file, eval of the fused file and calibrate at (1, 0) give one LAMR."""
+    dets, gt = tmp_path / "dets.jsonl", tmp_path / "gt.jsonl"
+    write_jsonl(dets, [
+        {"image_id": "i0", "modality": "rgb", "bbox": [0, 0, 10, 20], "score": 0.999999999},
+        {"image_id": "i1", "modality": "rgb", "bbox": [0, 0, 10, 20], "score": 0.99999999},
+        {"image_id": "i2", "modality": "rgb", "bbox": [0, 0, 10, 20], "score": 0.3},
+    ])
+    write_jsonl(gt, [
+        {"meta": {"num_classes": 1}},
+        {"image_id": "i0", "bbox": [0, 0, 10, 20], "class_id": 1},
+        {"image_id": "i2", "bbox": [0, 0, 10, 20], "class_id": 1},
+        *({"image_id": f"i{i}"} for i in range(1, 10)),
+    ])
+
+    def lamr_of(path):
+        assert main(["eval", str(path), str(gt), "--out-prefix", str(tmp_path / "eval")]) == 0
+        return json.loads((tmp_path / "eval.json").read_text())["subsets"]["all"]["lamr"]
+
+    fused = tmp_path / "fused.jsonl"
+    fusion = ["--score-fusion", score_fusion]
+    assert main(["fuse", str(dets), *fusion, "--out", str(fused)]) == 0
+    values = [lamr_of(dets), lamr_of(fused)]
+    if score_fusion != "pooling":  # calibrate offers no pooling
+        argv = ["calibrate", str(dets), *fusion, "--ground-truth", str(gt),
+                "--calibrate-modality", "rgb", "--grid-t", "1:1:1",
+                "--out-prefix", str(tmp_path / "cal")]
+        assert main(argv) == 0
+        row = (tmp_path / "cal.surface.csv").read_text().splitlines()[1]
+        values.append(float(row.split(",")[2]))
+    assert values == [values[0]] * len(values)
 
 
 class TestVarianceChecks:

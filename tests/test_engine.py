@@ -367,13 +367,14 @@ class TestColumnFusion:
             assert sizes == {1, 2, 3, 4}
 
     def test_tied_fused_scores_sort_by_det_id(self):
-        # Both clusters average to posteriors [0.25, 0.75]; the one with the
-        # weaker seed has the lower det_id and comes first.
+        # Both clusters hold the posteriors of 0.875 and 0.625, swapped
+        # between the modalities, so their means tie exactly; the cluster
+        # whose seed has the lower det_id comes first.
         def member(modality, x, p, det_id):
             return det("i", modality, BBox(x, 0, 10, 10), p, det_id)
 
-        rgb = [member("rgb", 0, 0.875, 5), member("rgb", 50, 0.8125, 1)]
-        thermal = [member("thermal", 0, 0.625, 6), member("thermal", 50, 0.6875, 2)]
+        rgb = [member("rgb", 0, 0.875, 5), member("rgb", 50, 0.625, 2)]
+        thermal = [member("thermal", 0, 0.625, 6), member("thermal", 50, 0.875, 1)]
         config = FusionConfig(score_fusion="avg-posteriors", box_fusion="argmax")
         got = fuse_all([rgb, thermal], config)
         assert got[0].score == got[1].score

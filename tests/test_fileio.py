@@ -39,7 +39,52 @@ def sample_detections():
     ]
 
 
+# posteriors and scores at exactly 0 and 1, and inside and beyond the clamp
+# to [1e-7, 1 - 1e-7]
+EXTREME_PROBABILITIES = st.sampled_from(
+    [0.0, 1e-12, 1e-8, 1e-7, 0.3, 1.0 - 1e-7, 0.99999999, 0.999999999, 1.0]
+) | st.floats(0, 1)
+
+
+@st.composite
+def score_kinds_file(draw):
+    """Records of every score kind for K = width - 1 classes, and K."""
+    width = draw(st.integers(2, 4))
+    records = []
+    for i in range(draw(st.integers(1, 12))):
+        record = {"image_id": f"img{i % 3}", "modality": "rgb", "bbox": [i, 0.0, 5.0, 5.0]}
+        kind = draw(st.sampled_from(["logits", "posteriors", "score"]))
+        if kind == "logits":
+            record["logits"] = draw(st.lists(st.floats(-50, 50), min_size=width, max_size=width))
+        elif kind == "posteriors":
+            top, rest = draw(st.permutations(range(width)))[:2]
+            p = [0.0] * width
+            p[top] = draw(EXTREME_PROBABILITIES)
+            p[rest] = 1.0 - p[top]
+            record["posteriors"] = p
+        else:
+            record["score"] = draw(EXTREME_PROBABILITIES)
+            record["class_id"] = draw(st.integers(1, width - 1))
+        records.append(record)
+    return records, width - 1
+
+
 class TestDetectionRoundTrip:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(score_kinds_file())
+    def test_write_read_cycle_reproduces_every_ranking_score(self, tmp_path, case):
+        records, num_classes = case
+        path, again = tmp_path / "dets.jsonl", tmp_path / "again.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # clamped posteriors warn
+            first = read_detections(path, num_classes=num_classes)
+        write_detections(again, first)
+        second = read_detections(again, num_classes=num_classes)
+        for name in ("logits", "posteriors", "score"):
+            assert bits(getattr(second.scores, name)) == bits(getattr(first.scores, name)), name
+        assert np.array_equal(second.scores.argmax_foreground(), first.scores.argmax_foreground())
+
     def test_exact_numeric_round_trip(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         original = sample_detections()
@@ -909,7 +954,7 @@ def test_non_finite_logits_spelled_as_json(tmp_path):
         ["rgb", "thermal", "rgb"],
         np.array([[0.0, 0.0, 1.0, 1.0], [-0.0, 2.5, 1e16, 1e-7], [3.0, 4.0, 5.0, 6.0]]),
         np.array([math.nan, 2.0, 1e-300]),
-        ClassScores(logits=logits, posteriors=np.full_like(logits, 0.5)),
+        ClassScores(logits=logits),
         np.arange(3),
     )
     out = tmp_path / "out.jsonl"
