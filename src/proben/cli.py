@@ -83,11 +83,12 @@ def _parse_prior(raw: str, gts, num_classes: int) -> Optional[ClassPrior]:
     raise ConfigurationError(f"--prior must be 'uniform' or 'counted:<bg>', got {raw!r}")
 
 
-def _read_detection_sets(args) -> List[DetectionColumns]:
+def _read_detection_sets(args, num_classes: Optional[int] = None) -> List[DetectionColumns]:
+    """The detection files of args, read with the class count of the ground
+    truth when given, else with that of the first file that holds a record."""
     overrides = dict(_parse_assignment(raw, "--modality") for raw in args.modality or [])
     sets: List[DetectionColumns] = []
     next_id = 0
-    num_classes = None
     for path in args.inputs:
         dets = read_detections(
             path,
@@ -113,10 +114,13 @@ def _build_config(args, gts, num_classes) -> FusionConfig:
 
 
 def cmd_fuse(args) -> int:
-    detection_sets = _read_detection_sets(args)
-    nonempty = [dets for dets in detection_sets if len(dets)]
-    num_classes = nonempty[0].scores.num_foreground if nonempty else 1
-    gts = read_ground_truth(args.ground_truth)[0] if args.ground_truth else None
+    gts = num_classes = None
+    if args.ground_truth:
+        gts, _, num_classes, _, _ = read_ground_truth(args.ground_truth)
+    detection_sets = _read_detection_sets(args, num_classes)
+    if num_classes is None:
+        nonempty = [dets for dets in detection_sets if len(dets)]
+        num_classes = nonempty[0].scores.num_foreground if nonempty else 1
 
     if args.score_fusion == "pooling":
         fused = pool(detection_sets)
@@ -131,8 +135,8 @@ def cmd_fuse(args) -> int:
 
 def cmd_eval(args) -> int:
     check_iou_threshold(args.iou_threshold)
-    dets = read_detections(args.detections)
     gts, tags, num_classes, class_names, gt_images = read_ground_truth(args.ground_truth)
+    dets = read_detections(args.detections, num_classes=num_classes)
     orphan = sorted(set(dets.image_id) - set(gt_images))
     if orphan:
         print(
@@ -193,8 +197,8 @@ def _parse_grid(raw: str, flag: str) -> GridSpec:
 
 
 def cmd_calibrate(args) -> int:
-    detection_sets = _read_detection_sets(args)
     gts, _, num_classes, _, gt_images = read_ground_truth(args.ground_truth)
+    detection_sets = _read_detection_sets(args, num_classes)
     config = _build_config(args, gts, num_classes)
     image_ids = sorted(set(gt_images).union(*(dets.image_id for dets in detection_sets)))
 

@@ -4,10 +4,12 @@ Detection records carry exactly one of ``logits``, ``posteriors`` or
 ``score`` (with ``class_id``). Ground-truth files open with a header record
 ``{"meta": {"num_classes": K, "class_names": [...]}}``; records without a
 ``bbox`` declare an image (and optionally its day/night tag) with no object.
-Floats are serialized via shortest round-trip representation, so a
-write/parse cycle reproduces every numeric field exactly. Scores are held and
-written as logits (a ``posteriors`` or ``score`` record as the log of its
-clamped posteriors), so the cycle also reproduces every ranking score.
+orjson decodes the lines, and ``json`` the few that orjson reads otherwise,
+so every record is what ``json.loads`` gives. Floats are serialized via
+shortest round-trip representation, so a write/parse cycle reproduces every
+numeric field exactly. Scores are held and written as logits (a
+``posteriors`` or ``score`` record as the log of its clamped posteriors), so
+the cycle also reproduces every ranking score.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import orjson
 
 from .detections import (
     ClassScores,
@@ -135,32 +138,64 @@ def read_json(path):
             raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
 
 
-_scan = json.JSONDecoder().scan_once  # what raw_decode calls
+_CHUNK = 1 << 16  # characters read, guarded and split at a time
+_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+_LONG_RUN = b"0" * 19
+
+
+def _long_integer_lines(chunk: str, first: int) -> set:
+    """The numbers of the lines of chunk (its first being line first) that
+    hold a run of 19 or more digits that neither a digit nor a "." precedes.
+    Every integer literal beyond [-2**63, 2**64), which orjson reads as a
+    float, is such a run; fractions are not."""
+    data = chunk.encode().translate(_DIGITS)
+    lines = set()
+    at = data.find(_LONG_RUN)
+    while at >= 0:
+        if at == 0 or data[at - 1] not in b".0":
+            lines.add(first + data.count(b"\n", 0, at))
+        at = data.find(_LONG_RUN, at + 1)
+    return lines
+
+
+def _json_record(path, line_no, line: str):
+    """line decoded by ``json``, or the ParseError of its message."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
 
 
 def _iter_records(path, text=None):
     """(line number, record) for each non-blank line of path (of text, if
-    given). A decode error can stop a text read ahead of lines it has not
-    parsed; they are parsed before it is raised, so the first bad line wins."""
+    given). orjson decodes each line, unless it holds a long integer literal
+    or orjson rejects it: then ``json`` does, which reads NaN, Infinity,
+    1e400 and lone surrogate escapes, and gives the message of a bad line.
+    A decode error can stop a text read ahead of lines it has not parsed;
+    they are parsed before it is raised, so the first bad line wins."""
     line_no = 0
     with (open_input(path) if text is None else text) as fh:
         try:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record, end = _scan(line, 0)
-                except (StopIteration, json.JSONDecodeError):
-                    end = -1
-                if end != len(line):  # json.loads gives the error message
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
-                if type(record) is not dict:
-                    raise ParseError(path, line_no, "each line must hold a JSON object")
-                yield line_no, record
+            while chunk := fh.read(_CHUNK):
+                chunk += fh.readline()
+                lines = chunk.split("\n")
+                if not lines[-1]:
+                    lines.pop()
+                slow = _long_integer_lines(chunk, line_no + 1)
+                for line_no, line in enumerate(lines, start=line_no + 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if line_no in slow:
+                        record = _json_record(path, line_no, line)
+                    else:
+                        try:
+                            record = orjson.loads(line)
+                        except orjson.JSONDecodeError:
+                            record = _json_record(path, line_no, line)
+                    if type(record) is not dict:
+                        raise ParseError(path, line_no, "each line must hold a JSON object")
+                    yield line_no, record
         except UnicodeDecodeError:
             ahead, fault = _undecodable(path)
             yield from (item for item in _iter_records(path, ahead) if item[0] > line_no)

@@ -715,6 +715,51 @@ def test_scores_beyond_the_clamp_rank_alike_in_eval_fuse_and_calibrate(tmp_path,
     assert values == [values[0]] * len(values)
 
 
+class TestClassCountFromGroundTruth:
+    """A multi-class file of score records takes its class count from the
+    ground truth where a command is given one, not from its first record."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        dets, gt = tmp_path / "det.jsonl", tmp_path / "gt.jsonl"
+        write_jsonl(dets, [
+            {"image_id": "i", "modality": "rgb", "bbox": [0, 0, 10, 20], "score": 0.9, "class_id": 1},
+            {"image_id": "i", "modality": "rgb", "bbox": [50, 0, 10, 20], "score": 0.8, "class_id": 3},
+        ])
+        write_jsonl(gt, [
+            {"meta": {"num_classes": 3}},
+            {"image_id": "i", "bbox": [0, 0, 10, 20], "class_id": 1},
+            {"image_id": "i", "bbox": [50, 0, 10, 20], "class_id": 3},
+        ])
+        return dets, gt
+
+    def test_eval_fuse_and_calibrate_read_the_declared_classes(self, inputs, tmp_path):
+        dets, gt = inputs
+        assert main(["eval", str(dets), str(gt), "--out-prefix", str(tmp_path / "e")]) == 0
+        subset = json.loads((tmp_path / "e.json").read_text())["subsets"]["all"]
+        assert subset["mean_ap"] == 1.0
+        fused = tmp_path / "fused.jsonl"
+        argv = ["fuse", str(dets), "--ground-truth", str(gt), "--out", str(fused)]
+        assert main(argv) == 0
+        assert [len(r["logits"]) for r in read_jsonl(fused)] == [4, 4]
+        argv = ["calibrate", str(dets), "--ground-truth", str(gt), "--calibrate-modality", "rgb",
+                "--grid-t", "1:1:1", "--out-prefix", str(tmp_path / "cal")]
+        assert main(argv) == 0
+
+    def test_fuse_without_ground_truth_takes_the_first_record(self, inputs, tmp_path, capsys):
+        dets, _ = inputs
+        assert main(["fuse", str(dets), "--out", str(tmp_path / "fused.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {dets}:2: invalid score: class_id 3 out of range 1..1\n"
+
+    def test_a_bad_ground_truth_is_reported_ahead_of_bad_detections(self, inputs, tmp_path, capsys):
+        dets, gt = inputs
+        dets.write_text("{oops\n")
+        gt.write_text('{"meta": {"num_classes": 0}}\n')
+        assert main(["eval", str(dets), str(gt), "--out-prefix", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == f"error: {gt}:1: num_classes must be >= 1, got 0\n"
+
+
 class TestVarianceChecks:
     def pair(self, tmp_path, variance):
         rgb, thermal = tmp_path / "rgb.jsonl", tmp_path / "thermal.jsonl"

@@ -4,11 +4,13 @@ import re
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from proben import BBox, ClassScores, Detection, GroundTruth, InvalidScoreError, ParseError
-from proben.detections import DetectionColumns, GroundTruthColumns, check_box_variance
+from proben.cli import main
+from proben.detections import DetectionColumns, GroundTruthColumns, check_box_variance, softmax
 from proben.fileio import (
     _iter_records,
     read_detections,
@@ -624,14 +626,41 @@ def outcome(read, *args, **kwargs):
             return None, (type(exc), str(exc))
 
 
+# integers at and beyond the ends of [-2**63, 2**64), and of 19 to 25 digits
+LONG_INTS = st.sampled_from([-(2**63) - 1, -(2**63), 2**63, 2**64 - 1, 2**64]) | st.integers(
+    19, 25
+).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1) | st.integers(1 - 10**n, -(10 ** (n - 1))))
+# literals json reads as floats: dumps() writes "@raw:1e400" as 1e400
+RAW = "@raw:"
+RAW_LITERALS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]).map(RAW.__add__)
+LONE_SURROGATES = st.sampled_from(["\ud800", "a\udfff", "\udbff\udbff"])
+# whitespace str.strip() removes around a record; no line ends among it
+UNICODE_SPACES = " \t\x0b\x0c\x1c\x1f\x85\xa0\u2000\u2028\u3000"
+
+
+def dumps(record) -> str:
+    """json.dumps(record), each "@raw:..." string written as the literal it holds."""
+    return re.sub(r'"@raw:([^"]*)"', r"\1", json.dumps(record))
+
+
+@st.composite
+def file_text(draw, lines):
+    """lines, each with Unicode whitespace around it, ended by \\n, \\r or \\r\\n."""
+    pad = st.text(alphabet=UNICODE_SPACES, max_size=2)
+    ends = st.sampled_from(["\n", "\r", "\r\n"])
+    return "".join(draw(pad) + line + draw(pad) + draw(ends) for line in lines)
+
+
 COORDS = st.one_of(
     st.floats(-1e4, 1e4),
     st.integers(-1000, 1000),
+    LONG_INTS,
     st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300]),
 )
 EXTENTS = st.one_of(
     st.floats(1e-3, 1e4),
     st.integers(1, 1000),
+    LONG_INTS.map(abs),
     st.sampled_from([5e-324, 1e-310, 1e300, 1.7976931348623157e308]),
 )
 BOX_FAULTS = {
@@ -646,12 +675,15 @@ BOX_FAULTS = {
     "bbox-nan-x": lambda box: [math.nan, *box[1:]],
     "bbox-inf-y": lambda box: [box[0], math.inf, *box[2:]],
     "bbox-overflow-h": lambda box: [box[0], box[1], box[2], "1e999"],
+    "bbox-overflow-literal": lambda box: [box[0], box[1], RAW + "1e400", box[3]],
+    "bbox-nan-literal": lambda box: [box[0], RAW + "NaN", *box[2:]],
 }
 DETECTION_FAULTS = sorted(BOX_FAULTS) + [
     "no-image-id", "no-modality", "two-kinds", "no-kind", "logits-nan", "one-entry",
     "posteriors-range", "posteriors-sum", "score-range", "class-id-range", "width",
     "variance-zero", "variance-negative", "variance-inf", "variance-string",
     "variance-list", "variance-subnormal", "invalid-json", "not-object",
+    "class-id-long", "score-literal", "logits-literal", "variance-literal",
 ]
 
 
@@ -665,8 +697,11 @@ def detection_line(draw, width):
         return '{"image_id": "a", "bbox": [0, 0'
     if "not-object" in faults:
         return "[1, 2]"
-    image_id = draw(st.one_of(st.text(min_size=1, max_size=4), st.integers(0, 9)))
-    record = {"image_id": image_id, "modality": draw(st.sampled_from(["rgb", "thermal", "é"]))}
+    image_id = draw(
+        st.one_of(st.text(min_size=1, max_size=4), st.integers(0, 9), LONG_INTS, LONE_SURROGATES)
+    )
+    modality = draw(st.sampled_from(["rgb", "thermal", "é"]) | LONE_SURROGATES)
+    record = {"image_id": image_id, "modality": modality}
     box = [draw(COORDS), draw(COORDS), draw(EXTENTS), draw(EXTENTS)]
     box_faults = sorted(faults & set(BOX_FAULTS))
     if box_faults:  # one box fault a line; the others still combine
@@ -683,6 +718,10 @@ def detection_line(draw, width):
             record["score"] = 1.5
         if "class-id-range" in faults:
             record["class_id"] = k + 1
+        if "class-id-long" in faults:
+            record["class_id"] = draw(LONG_INTS)
+        if "score-literal" in faults:
+            record["score"] = draw(RAW_LITERALS)
     else:
         logits = draw(st.lists(st.floats(-50, 50), min_size=k + 1, max_size=k + 1))
         if kind == "logits":
@@ -696,6 +735,8 @@ def detection_line(draw, width):
                 row[0] += 0.25
         if "logits-nan" in faults:
             row[-1] = math.nan
+        if "logits-literal" in faults:
+            row[0] = draw(RAW_LITERALS)
         if "one-entry" in faults:
             row = row[:1]
         record[kind] = row
@@ -703,7 +744,9 @@ def detection_line(draw, width):
         record["score" if kind != "score" else "logits"] = 0.5
     if "no-kind" in faults:
         record.pop(kind)
-    variance = draw(st.one_of(st.none(), st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300])))
+    variance = draw(
+        st.one_of(st.none(), st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300]), LONG_INTS)
+    )
     for name, value in [
         ("variance-zero", 0.0),
         ("variance-negative", -1.0),
@@ -714,13 +757,15 @@ def detection_line(draw, width):
     ]:
         if name in faults:
             variance = value
+    if "variance-literal" in faults:
+        variance = draw(RAW_LITERALS)
     if variance is not None:
         record["box_variance"] = variance
     if "no-image-id" in faults:
         record.pop("image_id")
     if "no-modality" in faults:
         record["modality"] = ""
-    return json.dumps(record)
+    return dumps(record)
 
 
 @st.composite
@@ -769,11 +814,11 @@ OTHER_IGNORE_VALUES = st.sampled_from([None, "false", "true", 0, 1, 0.0, [], {}]
 
 class TestColumnReaders:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(detection_file())
-    def test_detections_equal_the_record_by_record_reader(self, tmp_path, case):
+    @given(detection_file(), st.data())
+    def test_detections_equal_the_record_by_record_reader(self, tmp_path, case, data):
         lines, num_classes = case
         path = tmp_path / "dets.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes(data.draw(file_text(lines)).encode("utf-8"))
         want, want_error = outcome(reference_read_detections, path, num_classes=num_classes, start_det_id=7)
         got, got_error = outcome(read_detections, path, num_classes=num_classes, start_det_id=7)
         assert got_error == want_error
@@ -786,15 +831,18 @@ class TestColumnReaders:
     def test_ground_truth_equals_the_record_by_record_reader(self, tmp_path, data):
         lines = []
         if data.draw(st.integers(0, 9)):
-            num_classes = st.integers(0, 3) | st.sampled_from([math.inf, "x"])
+            num_classes = st.integers(0, 3) | st.sampled_from([math.inf, "x"]) | LONG_INTS | RAW_LITERALS
             meta = {"num_classes": data.draw(num_classes)}
-            names = data.draw(st.sampled_from([None, ["a", "b", "c"], 5, "ab"]))
+            names = st.sampled_from([None, ["a", "b", "c"], 5, "ab"]) | LONG_INTS
+            names |= st.lists(st.text(max_size=2) | LONG_INTS | RAW_LITERALS | LONE_SURROGATES, max_size=3)
+            names = data.draw(names)
             if names is not None:
                 meta["class_names"] = names
-            lines.append(json.dumps({"meta": meta}))
+            lines.append(dumps({"meta": meta}))
         for _ in range(data.draw(st.integers(0, 8))):
-            record = {"image_id": data.draw(st.text(min_size=1, max_size=3) | st.integers(0, 5))}
-            tag = data.draw(st.sampled_from([None, "day", "night", "dusk"]))
+            image_id = st.text(min_size=1, max_size=3) | st.integers(0, 5) | LONG_INTS | LONE_SURROGATES
+            record = {"image_id": data.draw(image_id)}
+            tag = data.draw(st.sampled_from([None, "day", "night", "dusk"]) | LONG_INTS | LONE_SURROGATES)
             if tag is not None:
                 record["tag"] = tag
             if data.draw(st.integers(0, 4)):
@@ -802,15 +850,16 @@ class TestColumnReaders:
                 if data.draw(st.integers(0, 3)) == 0:
                     box = BOX_FAULTS[data.draw(st.sampled_from(sorted(BOX_FAULTS)))](box)
                 record["bbox"] = box
-                record["class_id"] = data.draw(st.sampled_from([1, 2, 3, 0, "x", None, math.inf]))
+                class_ids = st.sampled_from([1, 2, 3, 0, "x", None, math.inf]) | LONG_INTS | RAW_LITERALS
+                record["class_id"] = data.draw(class_ids)
                 if data.draw(st.booleans()):
-                    record["ignore"] = data.draw(st.booleans() | OTHER_IGNORE_VALUES)
-            line = json.dumps(record)
+                    record["ignore"] = data.draw(st.booleans() | OTHER_IGNORE_VALUES | LONG_INTS)
+            line = dumps(record)
             if data.draw(st.integers(0, 15)) == 0:
                 line = line[:-3]  # truncated: invalid JSON
             lines.append(line)
         path = tmp_path / "gt.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes(data.draw(file_text(lines)).encode("utf-8"))
         want, want_error = outcome(reference_read_ground_truth, path)
         got, got_error = outcome(read_ground_truth, path)
         assert got_error == want_error
@@ -911,6 +960,126 @@ class TestColumnReaders:
         gts = read_ground_truth(path)[0]
         assert len(gts) == 2
         assert gts.ignore.tolist() == [False, True]
+
+
+# --- the line decoder against json.loads ---------------------------------------
+
+VALID_LINES = [
+    '{"image_id": "img00001", "modality": "rgb", "bbox": [397.52722773530854, 227.5, 29.3, 117.8], '
+    '"logits": [0.0012345678901234567, -3.25e-05, 1e+16]}',
+    '{"image_id": "b", "modality": "thermal", "bbox": [1, 2, 3, 4], "box_variance": 16.0, '
+    '"posteriors": [0.017269778816493667, 0.9827302211835063]}',
+    '{"image_id": 7, "modality": "rgb", "bbox": [0, -0.0, 5e-324, 1.7976931348623157e+308], '
+    '"score": 0.5, "class_id": 2}',
+    '{"meta": {"num_classes": 3, "class_names": ["person", "car", "\\u00e9"]}}',
+    '{"image_id": "img00000", "bbox": [471.25, 68.5, 52.3, 87.0], "class_id": 1, "tag": "day", '
+    '"ignore": true}',
+    '{"image_id": "x", "tag": null}',
+]
+TOKENS = st.one_of(
+    st.sampled_from(
+        [
+            "0", "1", "9", ".", "-", "+", "e", "E", '"', "\\", "u", "d800", ",", ":", "{", "}",
+            "[", "]", " ", "\t", "\x00", "\x0b", "\x0c", "\x1f", "\x7f", "\xa0", "\u2028", "é",
+            "\ufeff", "\\ud800", "\\udfff", "\\ud83d\\ude00", "\\u0000", "\\n", "\\/",
+        ]
+    ),
+    st.sampled_from(
+        [
+            "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "true", "null", "-0",
+            "0.00012345678901234567", "12345678901234567890.5", "1e0000000000000000001",
+        ]
+    ),
+    LONG_INTS.map(str),
+)
+
+
+# a value in an array or after a key
+VALUE = re.compile(r'(?<=[\[ ])(-?\d[\d.eE+-]*|true|false|null|"[^"]*")(?=[,\]}])')
+
+
+@st.composite
+def mutated_line(draw):
+    """A valid record line with one to three values replaced by tokens, then
+    up to two spans of up to three characters."""
+    line = draw(st.sampled_from(VALID_LINES))
+    for _ in range(draw(st.integers(1, 3))):
+        values = [m.span() for m in VALUE.finditer(line)]
+        if values:
+            at, end = draw(st.sampled_from(values))
+            line = line[:at] + draw(TOKENS) + line[end:]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(TOKENS) + line[at + draw(st.integers(0, 3)):]
+    return line
+
+
+def json_records(path):
+    """(line number, record) of each non-blank line as json.loads decodes it."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ParseError(path, line_no, "each line must hold a JSON object")
+            out.append((line_no, record))
+    return out
+
+
+class TestLineDecoder:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(mutated_line(), min_size=1, max_size=6), st.data())
+    def test_records_equal_json_loads(self, tmp_path, lines, data):
+        """Each record is what json.loads gives, types and bits included (as
+        repr shows them), and a bad line gives json's ParseError."""
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(data.draw(file_text(lines)).encode("utf-8"))
+        want, want_error = outcome(json_records, path)
+        got, got_error = outcome(lambda: list(_iter_records(path)))
+        assert got_error == want_error
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("thermal", ["logits", "posteriors"])
+    def test_synth_output_decodes_with_orjson_only(self, tmp_path, monkeypatch, thermal):
+        """No line of synth or fuse output, nor of the same detections with
+        rgb logits scaled by 3 and thermal as posteriors records, falls back
+        to json.loads."""
+        assert main(["synth", "--out-dir", str(tmp_path), "--images", "50"]) == 0
+        if thermal == "posteriors":
+            for modality, scale in [("rgb", 3.0), ("thermal", None)]:
+                path = tmp_path / f"det_{modality}.jsonl"
+                records = [json.loads(line) for line in path.read_text().splitlines()]
+                for r in records:
+                    if scale is None:
+                        r["posteriors"] = softmax(r.pop("logits")).tolist()
+                    else:
+                        r["logits"] = [v * scale for v in r["logits"]]
+                path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        dets = [tmp_path / "det_rgb.jsonl", tmp_path / "det_thermal.jsonl"]
+        assert main(["fuse", *map(str, dets), "--out", str(tmp_path / "fused.jsonl")]) == 0
+        paths = [*dets, tmp_path / "fused.jsonl", tmp_path / "gt.jsonl"]
+        calls = {"orjson": 0, "json": 0}
+
+        def counted(name, loads):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return loads(*args, **kwargs)
+            return count
+
+        monkeypatch.setattr(orjson, "loads", counted("orjson", orjson.loads))
+        monkeypatch.setattr(json, "loads", counted("json", json.loads))
+        for path in paths[:-1]:
+            read_detections(path)
+        read_ground_truth(paths[-1])
+        monkeypatch.undo()
+        lines = sum(path.read_text(encoding="utf-8").count("\n") for path in paths)
+        assert calls == {"orjson": lines, "json": 0}
 
 
 def parent_writer_lines(dets):
