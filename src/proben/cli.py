@@ -214,10 +214,8 @@ def cmd_calibrate(args) -> int:
         image_ids=image_ids,
     )
 
-    with open(args.out_prefix + ".surface.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"temperature,shift,{args.objective}\n")
-        for t, b, value in surface:
-            fh.write(f"{t!r},{b!r},{value!r}\n")
+    header = ("temperature", "shift", args.objective)
+    write_curves_csv(args.out_prefix + ".surface.csv", header, *zip(*surface))
     write_json(
         args.out_prefix + ".best.json",
         {

@@ -5,11 +5,12 @@ Detection records carry exactly one of ``logits``, ``posteriors`` or
 ``{"meta": {"num_classes": K, "class_names": [...]}}``; records without a
 ``bbox`` declare an image (and optionally its day/night tag) with no object.
 orjson decodes the lines, and ``json`` the few that orjson reads otherwise,
-so every record is what ``json.loads`` gives. Floats are serialized via
-shortest round-trip representation, so a write/parse cycle reproduces every
-numeric field exactly. Scores are held and written as logits (a
-``posteriors`` or ``score`` record as the log of its clamped posteriors), so
-the cycle also reproduces every ranking score.
+so every record is what ``json.loads`` gives. Floats are written with their
+shortest round-trip digits, as ``json.dumps`` (``repr`` in CSV files) spells
+them, one orjson call per column (``_spelled``), so a write/parse cycle
+reproduces every numeric field exactly. Scores are held and written as
+logits (a ``posteriors`` or ``score`` record as the log of its clamped
+posteriors), so the cycle also reproduces every ranking score.
 """
 
 from __future__ import annotations
@@ -158,12 +159,17 @@ def _long_integer_lines(chunk: str, first: int) -> set:
     return lines
 
 
+_TOO_DEEP = "record nested too deeply"
+
+
 def _json_record(path, line_no, line: str):
     """line decoded by ``json``, or the ParseError of its message."""
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(path, line_no, _TOO_DEEP) from None
 
 
 def _iter_records(path, text=None):
@@ -306,8 +312,10 @@ def read_detections(
             if rows:
                 stack = _build_scores(kind, np.frombuffer(values).reshape(len(rows), -1))
                 logits[np.frombuffer(rows, dtype=np.int64)] = stack.logits
-    except Exception:  # a box or score row that failed earlier is reported first
+    except Exception as exc:  # a box or score row that failed earlier is reported first
         _raise_first_invalid(path, box_values, lines, pending)
+        if isinstance(exc, RecursionError):  # the str or repr of a deep value
+            raise ParseError(path, line_no, _TOO_DEEP) from None
         raise
     _raise_first_invalid(path, box_values, lines)
     return DetectionColumns(
@@ -320,32 +328,31 @@ def read_detections(
     )
 
 
-class _JsonText(str):
-    """A value already in ``json``'s spelling: ``%r`` writes it as it is."""
-
-    __slots__ = ()
-    __repr__ = str.__str__
+_BLOCK = 1024  # rows spelled and written at a time
 
 
-def _respelled(values: list, cells) -> list:
-    """values, with the given cells in ``json``'s spelling."""
-    for i in cells:
-        values[i] = _JsonText(json.dumps(values[i]))
-    return values
+def _blocks(count: int):
+    """Slices of count rows, _BLOCK at a time, so that the texts of one
+    block only are held."""
+    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
 
 
-def _float_cells(column: np.ndarray) -> list:
-    """A float column for ``%r``, which spells a finite float as ``json`` does
-    and NaN and the infinities otherwise."""
-    return _respelled(column.tolist(), np.flatnonzero(~np.isfinite(column)).tolist())
+def _spelled(column, respell) -> list:
+    """The text of each value of a float column, from one orjson call.
 
-
-def _number_cells(values: list) -> list:
-    """Numbers as ``GroundTruth`` holds them, for ``%r``, which spells bools
-    and float or int subclasses otherwise than ``json``."""
-    if set(map(type, values)) <= {float, int}:
-        return values
-    return _respelled(values, [i for i, v in enumerate(values) if type(v) not in (float, int)])
+    orjson spells a float with its shortest round-trip digits, as ``repr``
+    and ``json.dumps`` do, except where it writes ``null`` (NaN, infinities),
+    ``0.00001`` (for ``1e-05``: nonzero below 1e-4 in magnitude) or ``1e16``
+    (for ``1e+16``: 1e16 and above); those values are spelled by respell.
+    """
+    column = np.ascontiguousarray(column, dtype=np.float64)
+    if not len(column):
+        return []
+    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(column)
+    for i in np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size > 0.0))).tolist():
+        texts[i] = respell(column[i].item())
+    return texts
 
 
 def _json_strings(values) -> list:
@@ -354,43 +361,39 @@ def _json_strings(values) -> list:
     return list(map(text.__getitem__, values))
 
 
-def _distinct_texts(column: np.ndarray, spell) -> list:
-    """spell(value) for each value of a float column, each distinct bit
-    pattern spelled once (so ``-0.0`` keeps its sign)."""
-    bits = np.ascontiguousarray(column, dtype=float).view(np.int64)
-    keys, index = np.unique(bits, return_inverse=True)
-    texts = np.array([spell(v) for v in keys.view(float).tolist()], dtype=object)
-    return texts[index].tolist()
-
-
-def _variance_suffix(variance: float) -> str:
-    return "" if math.isnan(variance) else f', "box_variance": {variance!r}'
+def _variance_suffixes(variances: np.ndarray) -> list:
+    """The ``box_variance`` field of each row, empty where it is NaN (none)."""
+    return [
+        "" if text == "NaN" else ', "box_variance": ' + text
+        for text in _spelled(variances, json.dumps)
+    ]
 
 
 def write_detections(path, detections) -> None:
     """Write ``DetectionColumns`` (or a ``Detection`` sequence), one record a line.
 
     The bytes are those of one ``json.dumps`` call per record. Rows are
-    rendered from one ``%``-template, a column at a time: each distinct
-    image id, modality and box variance is encoded once, and floats go
-    through ``%r``.
+    rendered from one ``%``-template, a block of rows and a column at a
+    time: each distinct image id and modality of a block is encoded once,
+    and each float column is spelled by one orjson call (``_spelled``).
     """
     detections = DetectionColumns.of(detections)
     logits = detections.scores.logits
     template = (
-        '{"image_id": %s, "modality": %s, "bbox": [%r, %r, %r, %r], "logits": ['
-        + ", ".join(["%r"] * logits.shape[1])
+        '{"image_id": %s, "modality": %s, "bbox": [%s, %s, %s, %s], "logits": ['
+        + ", ".join(["%s"] * logits.shape[1])
         + "]%s}\n"
     )
-    columns = [
-        _json_strings(detections.image_id),
-        _json_strings(detections.modality),
-        *map(_float_cells, detections.boxes.T),
-        *map(_float_cells, logits.T),
-        _distinct_texts(detections.variances, _variance_suffix),
-    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(template.__mod__, zip(*columns)))
+        for rows in _blocks(len(logits)):
+            columns = [
+                _json_strings(detections.image_id[rows]),
+                _json_strings(detections.modality[rows]),
+                *(_spelled(column, json.dumps) for column in detections.boxes[rows].T),
+                *(_spelled(column, json.dumps) for column in logits[rows].T),
+                _variance_suffixes(detections.variances[rows]),
+            ]
+            fh.writelines(map(template.__mod__, zip(*columns)))
 
 
 def read_ground_truth(
@@ -468,8 +471,10 @@ def read_ground_truth(
             ignored.append(ignore)
         if num_classes is None:
             raise ParseError(path, 1, "ground-truth file must start with a meta header")
-    except Exception:  # a box that failed earlier is reported first
+    except Exception as exc:  # a box that failed earlier is reported first
         _raise_first_invalid(path, box_values, lines)
+        if isinstance(exc, RecursionError):  # the str or repr of a deep value
+            raise ParseError(path, line_no, _TOO_DEEP) from None
         raise
     _raise_first_invalid(path, box_values, lines)
     gts = GroundTruthColumns(
@@ -500,36 +505,49 @@ def write_ground_truth(
         meta["class_names"] = list(class_names)
     if isinstance(gts, GroundTruthColumns):
         images, ignore = gts.image_id, gts.ignore.tolist()
-        numbers = [*map(_float_cells, gts.boxes.T), gts.class_id.tolist()]
+
+        def numbers(rows):
+            boxes = (_spelled(column, json.dumps) for column in gts.boxes[rows].T)
+            return [*boxes, gts.class_id[rows].tolist()]
+
     else:
         images, ignore = [g.image_id for g in gts], [g.ignore for g in gts]
-        rows = [(g.box.x, g.box.y, g.box.w, g.box.h, g.class_id) for g in gts]
-        numbers = list(map(_number_cells, map(list, zip(*rows))))
+        fields = [(g.box.x, g.box.y, g.box.w, g.box.h, g.class_id) for g in gts]
+        texts = [list(map(json.dumps, column)) for column in zip(*fields)]
+
+        def numbers(rows):
+            return [column[rows] for column in texts]
+
     suffixes = [', "ignore": true' if flag else "" for flag in ignore]
     tag_of = dict(zip(tags, _json_strings(tags.values())))
     first_box = {image_id: i for i, image_id in reversed(list(enumerate(images)))}
     for image_id, i in first_box.items():
         if image_id in tag_of:
             suffixes[i] += f', "tag": {tag_of[image_id]}'
-    columns = [_json_strings(images), *numbers, suffixes]
     boxless = sorted(set(tags) - set(first_box))
+    template = '{"image_id": %s, "bbox": [%s, %s, %s, %s], "class_id": %s%s}\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": meta}) + "\n")
-        template = '{"image_id": %s, "bbox": [%r, %r, %r, %r], "class_id": %r%s}\n'
-        fh.writelines(map(template.__mod__, zip(*columns)))
+        for rows in _blocks(len(images)):
+            columns = [_json_strings(images[rows]), *numbers(rows), suffixes[rows]]
+            fh.writelines(map(template.__mod__, zip(*columns)))
         fh.writelines(
             '{"image_id": %s, "tag": %s}\n' % (json.dumps(image_id), tag_of[image_id])
             for image_id in boxless
         )
 
 
-def write_curves_csv(path, columns: Tuple[str, str], first: List[float], second: List[float]):
-    """A two-column CSV of equal-length float lists, written in one call; each
-    distinct value of a column is formatted once, with ``repr``."""
-    texts = zip(_distinct_texts(first, repr), _distinct_texts(second, repr))
-    rows = "".join(map("%s,%s\n".__mod__, texts))
+def write_curves_csv(path, header: Sequence[str], *columns) -> None:
+    """A CSV of equal-length float columns under header, each value spelled
+    as ``repr`` spells it, a block of rows and a column at a time by one
+    orjson call (``_spelled``)."""
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    template = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{columns[0]},{columns[1]}\n{rows}")
+        fh.write(",".join(header) + "\n")
+        for rows in _blocks(len(columns[0])):
+            texts = [_spelled(column[rows], repr) for column in columns]
+            fh.writelines(map(template.__mod__, zip(*texts)))
 
 
 def write_json(path, payload):

@@ -227,6 +227,9 @@ class TestCalibrate:
             assert main(argv) == 0
             surface = (tmp_path / "cal.surface.csv").read_text().strip().splitlines()
             assert len(surface) == 1 + 4 * 3  # header plus every grid point
+            assert surface[0] == "temperature,shift,lamr"
+            for row in surface[1:]:  # every value as repr spells it
+                assert row == ",".join(repr(float(v)) for v in row.split(","))
             best = json.loads((tmp_path / "cal.best.json").read_text())
             assert best["modality"] == "rgb"
             assert set(best) == {"modality", "temperature", "shift", "objective"}
@@ -586,6 +589,42 @@ class TestExitCodes:
         assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path)]) == 2
         self.clean_error(capsys, f"{spec_path}:{line}: {message}")
         assert not out.exists()
+
+    DEEP = "[" * 3000 + "]" * 3000  # nested beyond the interpreter's recursion limit
+    DEEP_OBJECT = '{"a": ' * 3000 + "1" + "}" * 3000
+    RECORD = '{"image_id": %s, "modality": %s, "bbox": %s, "logits": [0, 1]%s}'
+    BOX = '{"image_id": %s, "bbox": %s, "class_id": 1%s}'
+
+    @pytest.mark.parametrize(
+        "detection, truth, bad, line",
+        [
+            (RECORD % ('"i"', '"rgb"', "[0, 0, 10, 20]", ', "v": NaN, "x": ' + DEEP), [], "det", 2),
+            (RECORD % ('"i"', '"rgb"', DEEP, ""), [], "det", 2),
+            (RECORD % (DEEP, '"rgb"', "[0, 0, 10, 20]", ""), [], "det", 2),
+            (RECORD % ('"i"', DEEP, "[0, 0, 10, 20]", ""), [], "det", 2),
+            (None, [META % DEEP], "gt", 1),
+            (None, ['{"meta": {"num_classes": 1, "class_names": %s}}' % DEEP_OBJECT], "gt", 1),
+            (None, ['{"meta": {"num_classes": 1, "class_names": [%s]}}' % DEEP], "gt", 1),
+            (None, [META % 1, '{"image_id": "i", "tag": %s}' % DEEP], "gt", 2),
+            (None, [META % 1, BOX % ('"i"', "[0, 0, 10, 20]", ', "ignore": ' + DEEP)], "gt", 2),
+            (None, [META % 1, BOX % ('"i"', DEEP, "")], "gt", 2),
+            (None, [META % 1, BOX % (DEEP, "[0, 0, 10, 20]", "")], "gt", 2),
+        ],
+        ids=["det-nan-and-deep-field", "det-bbox", "det-image-id", "det-modality",
+             "num-classes", "class-names-object", "class-name-list", "tag", "ignore",
+             "gt-bbox", "gt-image-id"],
+    )
+    def test_deeply_nested_record_returns_2_at_its_line(
+        self, tmp_path, capsys, detection, truth, bad, line
+    ):
+        paths = {"det": tmp_path / "det.jsonl", "gt": tmp_path / "gt.jsonl"}
+        detections = [self.DET % 10] + ([detection] if detection else [])
+        paths["det"].write_text("\n".join(detections) + "\n", encoding="utf-8")
+        truth = truth or [self.META % 1, self.GT % (10, 1)]
+        paths["gt"].write_text("\n".join(truth) + "\n", encoding="utf-8")
+        argv = ["eval", str(paths["det"]), str(paths["gt"]), "--out-prefix", str(tmp_path / "e")]
+        assert main(argv) == 2
+        self.clean_error(capsys, f"{paths[bad]}:{line}: record nested too deeply")
 
 
 class TestIgnoreFlag:

@@ -12,7 +12,9 @@ from proben import BBox, ClassScores, Detection, GroundTruth, InvalidScoreError,
 from proben.cli import main
 from proben.detections import DetectionColumns, GroundTruthColumns, check_box_variance, softmax
 from proben.fileio import (
+    _BLOCK,
     _iter_records,
+    _spelled,
     read_detections,
     read_ground_truth,
     write_curves_csv,
@@ -1156,7 +1158,19 @@ def dumps_ground_truth(gts, tags, num_classes, class_names=None):
 
 
 IMAGE_IDS = st.sampled_from(["a", "b", "é", 'say "hi"', "back\\slash", "日本", "tab\t", "c"])
-NUMBERS = st.integers(-50, 50) | st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 1e16, 1e-7])
+# where orjson's spelling leaves repr's: 1e-4 and 1e16, each one ulp either
+# side; subnormals; integer-valued floats
+BOUNDARY_VALUES = [
+    v
+    for edge in (1e-4, 1e16)
+    for v in (np.nextafter(edge, 0.0).item(), edge, np.nextafter(edge, np.inf).item())
+] + [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0, 2.0**53, 1e15, 1e22]
+NUMBERS = (
+    st.integers(-50, 50)
+    | st.floats(-1e6, 1e6)
+    | st.sampled_from([-0.0, 1e16, 1e-7])
+    | st.sampled_from(BOUNDARY_VALUES + [-v for v in BOUNDARY_VALUES])
+)
 EXTENT_VALUES = st.integers(1, 50) | st.floats(1e-7, 1e16)
 
 
@@ -1207,6 +1221,20 @@ class TestGroundTruthWriter:
             '{"image_id": "z", "tag": "night"}',
         ]
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ground_truth_case())
+    def test_columns_equal_one_dumps_per_record(self, tmp_path, case):
+        gts, tags, class_names = case
+        columns = GroundTruthColumns.of(gts)
+        as_floats = [
+            GroundTruth(g.image_id, BBox(*box), g.class_id, ignore=g.ignore)
+            for g, box in zip(gts, columns.boxes.tolist())
+        ]
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(path, columns, tags, 3, class_names=class_names)
+        want = dumps_ground_truth(as_floats, tags, 3, class_names)
+        assert path.read_text(encoding="utf-8") == want
+
     def test_bool_and_float_subclass_coordinates_spelled_as_json(self, tmp_path):
         gts = [GroundTruth("a", BBox(True, np.float64(0.1), 2, np.float64(3.0)), 1)]
         path = tmp_path / "gt.jsonl"
@@ -1216,7 +1244,9 @@ class TestGroundTruthWriter:
 
 CURVE_VALUES = st.sampled_from(
     [0.0, -0.0, 0.5, 1e16, 1e-7, math.nan, math.inf, -math.inf]
-) | st.floats(allow_nan=True, allow_infinity=True)
+) | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    BOUNDARY_VALUES + [-v for v in BOUNDARY_VALUES]
+)
 
 
 class TestCurvesWriter:
@@ -1245,3 +1275,113 @@ class TestCurvesWriter:
         path = tmp_path / "curve.csv"
         write_curves_csv(path, ("x", "y"), first, second)
         assert path.read_text(encoding="utf-8") == self.repr_rows(first, second)
+
+    def test_more_columns_than_two(self, tmp_path):
+        path = tmp_path / "surface.csv"
+        write_curves_csv(path, ("t", "b", "lamr"), [0.5, 1e16], [-0.0, 1e-7], [0.25, math.nan])
+        assert path.read_text(encoding="utf-8") == "t,b,lamr\n0.5,-0.0,0.25\n1e+16,1e-07,nan\n"
+
+
+ODD_VALUES = BOUNDARY_VALUES + [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-7, 0.1, 1 / 3]
+
+
+class TestSpeller:
+    """``_spelled`` against ``json.dumps`` (JSONL files) and ``repr`` (CSV
+    files), value by value."""
+
+    @staticmethod
+    def assert_spelled_as_oracles(column):
+        values = np.asarray(column, dtype=float).tolist()
+        assert _spelled(column, json.dumps) == [json.dumps(v) for v in values]
+        assert _spelled(column, repr) == [repr(v) for v in values]
+
+    def test_boundaries_and_special_values(self):
+        self.assert_spelled_as_oracles(np.array(ODD_VALUES + [-v for v in ODD_VALUES]))
+
+    def test_each_value_alone(self):
+        for value in ODD_VALUES:
+            self.assert_spelled_as_oracles(np.array([value]))
+            self.assert_spelled_as_oracles(np.array([-value]))
+
+    def test_empty_column(self):
+        assert _spelled(np.empty(0), json.dumps) == []
+        assert _spelled([], repr) == []
+
+    def test_non_contiguous_column(self):
+        boxes = np.array(ODD_VALUES[: 4 * (len(ODD_VALUES) // 4)]).reshape(-1, 4)
+        for column in boxes.T:
+            assert not column.flags.c_contiguous
+            self.assert_spelled_as_oracles(column)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20)
+        self.assert_spelled_as_oracles(rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(float))
+        scales = 10.0 ** rng.integers(-323, 309, 50_000)
+        with np.errstate(over="ignore"):  # some products round to infinity
+            self.assert_spelled_as_oracles(rng.standard_normal(50_000) * scales)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(CURVE_VALUES, max_size=40))
+    def test_random_columns(self, values):
+        self.assert_spelled_as_oracles(np.array(values, dtype=float))
+
+
+class TestBlockEdges:
+    """Columns longer than one write block, with odd values on both sides
+    of every block edge."""
+
+    @staticmethod
+    def column(offset):
+        values = np.linspace(0.0, 1.0, 2 * _BLOCK + 3) + offset
+        odd = ODD_VALUES[offset % len(ODD_VALUES):] + ODD_VALUES
+        for edge in (_BLOCK, 2 * _BLOCK):
+            values[edge - 2 : edge + 2] = odd[:4]
+            odd = odd[4:]
+        return values
+
+    def test_curves(self, tmp_path):
+        first, second = self.column(0), self.column(5)
+        path = tmp_path / "curve.csv"
+        write_curves_csv(path, ("x", "y"), first, second)
+        rows = "".join(map("{!r},{!r}\n".format, first.tolist(), second.tolist()))
+        assert path.read_text(encoding="utf-8") == "x,y\n" + rows
+
+    def test_detections(self, tmp_path):
+        count = 2 * _BLOCK + 3
+        boxes = np.abs(np.stack([self.column(k) for k in range(4)], axis=1))
+        boxes[~np.isfinite(boxes)] = 1.0
+        boxes[boxes == 0.0] = 2.0
+        variances = np.abs(self.column(7))
+        variances[~(np.isfinite(variances) & (variances > 0.0))] = np.nan
+        logits = np.stack([self.column(9), self.column(11)], axis=1)
+        columns = DetectionColumns(
+            [f"img{i % 7}" for i in range(count)],
+            ["rgb", "thermal"] * (count // 2) + ["rgb"],
+            boxes,
+            variances,
+            ClassScores(logits=logits),
+            np.arange(count),
+        )
+        out = tmp_path / "out.jsonl"
+        write_detections(out, columns)
+        assert out.read_text(encoding="utf-8") == parent_writer_lines(columns.to_detections())
+
+    def test_ground_truth(self, tmp_path):
+        count = 2 * _BLOCK + 3
+        boxes = np.stack([self.column(k) for k in range(4)], axis=1)
+        boxes[~np.isfinite(boxes)] = 1.0
+        boxes[:, 2:] = np.abs(boxes[:, 2:]) + 1.0
+        gts = GroundTruthColumns(
+            image_id=[f"img{i % 5}" for i in range(count)],
+            boxes=boxes,
+            class_id=np.ones(count, dtype=np.int64),
+            ignore=np.arange(count) % 3 == 0,
+        )
+        objects = [
+            GroundTruth(image_id, BBox(*box), 1, ignore=flag)
+            for image_id, box, flag in zip(gts.image_id, boxes.tolist(), gts.ignore.tolist())
+        ]
+        tags = {"img0": "day", "img3": "night", "none": "day"}
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(path, gts, tags, 1)
+        assert path.read_text(encoding="utf-8") == dumps_ground_truth(objects, tags, 1)
