@@ -10,8 +10,8 @@ modes differ only in where the variance comes from:
 
 The engine fuses many clusters at once: ``member_weights`` gives every
 member its weight, and ``weighted_average`` and ``fused_variance`` reduce the
-clusters of one size in a few array operations. ``fuse_boxes`` and
-``fused_box_variance`` apply them to a single cluster of detections.
+clusters of one size in a few array operations. ``fuse_boxes`` applies them
+to a single cluster of detections.
 """
 
 from __future__ import annotations
@@ -117,11 +117,3 @@ def fuse_boxes(
     )
     return BBox(*weighted_average(columns.boxes[None], weights[None, :])[0].tolist())
 
-
-def fused_box_variance(members: Sequence[Detection]) -> float | None:
-    """Posterior variance of the fused box: 1 / sum of inverse variances.
-
-    Returns None unless every member reports a variance.
-    """
-    value = float(fused_variance(DetectionColumns.of(members).variances[None, :])[0])
-    return None if np.isnan(value) else value

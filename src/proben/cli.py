@@ -118,9 +118,6 @@ def cmd_fuse(args) -> int:
     if args.ground_truth:
         gts, _, num_classes, _, _ = read_ground_truth(args.ground_truth)
     detection_sets = _read_detection_sets(args, num_classes)
-    if num_classes is None:
-        nonempty = [dets for dets in detection_sets if len(dets)]
-        num_classes = nonempty[0].scores.num_foreground if nonempty else 1
 
     if args.score_fusion == "pooling":
         fused = pool(detection_sets)
@@ -157,7 +154,7 @@ def cmd_eval(args) -> int:
     payload = report.to_dict()
     if args.metric != "both":
         dropped = ("lamr",) if args.metric == "ap" else ("ap", "mean_ap")
-        for subset in filter(None, payload["subsets"].values()):
+        for subset in payload["subsets"].values():
             for key in dropped:
                 subset.pop(key, None)
     write_json(args.out_prefix + ".json", payload)
@@ -166,8 +163,6 @@ def cmd_eval(args) -> int:
 
     if args.curves:
         for key, subset in report.subsets.items():
-            if subset is None:
-                continue
             write_curves_csv(
                 f"{args.out_prefix}.{key}.miss_fppi.csv", ("fppi", "miss_rate"), *subset.miss_curve
             )

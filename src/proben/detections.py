@@ -209,12 +209,6 @@ class Detection:
         """Total order: higher score first, then lower class id, then lower det_id."""
         return (-self.score, self.class_id, self.det_id)
 
-    def with_scores(self, scores: ClassScores) -> "Detection":
-        # direct construction: dataclasses.replace costs several times more
-        return Detection(
-            self.image_id, self.modality, self.box, scores, self.box_variance, self.det_id
-        )
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -372,10 +366,6 @@ class ClassPrior:
     def uniform(cls, num_foreground: int) -> "ClassPrior":
         n = num_foreground + 1
         return cls(priors=np.full(n, 1.0 / n))
-
-    @property
-    def num_foreground(self) -> int:
-        return len(self.priors) - 1
 
 
 def estimate_class_prior(

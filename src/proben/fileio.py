@@ -137,6 +137,8 @@ def read_json(path):
             raise _undecodable(path)[1] from None
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError(path, None, "invalid JSON: nested too deeply") from None
 
 
 _CHUNK = 1 << 16  # characters read, guarded and split at a time
@@ -160,6 +162,9 @@ def _long_integer_lines(chunk: str, first: int) -> set:
 
 
 _TOO_DEEP = "record nested too deeply"
+# orjson overflows the C stack on a line nested some 300k deep (a crash, not
+# an error); no line of at most this many characters nests that deep.
+_LONG_LINE = 1 << 16
 
 
 def _json_record(path, line_no, line: str):
@@ -174,9 +179,10 @@ def _json_record(path, line_no, line: str):
 
 def _iter_records(path, text=None):
     """(line number, record) for each non-blank line of path (of text, if
-    given). orjson decodes each line, unless it holds a long integer literal
-    or orjson rejects it: then ``json`` does, which reads NaN, Infinity,
-    1e400 and lone surrogate escapes, and gives the message of a bad line.
+    given). orjson decodes each line, unless it holds a long integer literal,
+    is longer than _LONG_LINE or orjson rejects it: then ``json`` does, which
+    reads NaN, Infinity, 1e400 and lone surrogate escapes, gives the message
+    of a bad line and reports a line nested too deeply to decode.
     A decode error can stop a text read ahead of lines it has not parsed;
     they are parsed before it is raised, so the first bad line wins."""
     line_no = 0
@@ -192,7 +198,7 @@ def _iter_records(path, text=None):
                     line = line.strip()
                     if not line:
                         continue
-                    if line_no in slow:
+                    if line_no in slow or len(line) > _LONG_LINE:
                         record = _json_record(path, line_no, line)
                     else:
                         try:
@@ -498,29 +504,16 @@ def write_ground_truth(
     record. A box record carries ``"ignore": true`` where set, and the
     first box of a tagged image carries its tag.
 
-    gts is ``GroundTruthColumns`` or a ``GroundTruth`` sequence, whose
-    numbers keep their own spelling (an int coordinate stays an int)."""
+    gts is ``GroundTruthColumns`` or a ``GroundTruth`` sequence, which is
+    converted to columns first, so every coordinate is written as a float
+    (an int 10 as ``10.0``, which reads back as the same value)."""
+    gts = GroundTruthColumns.of(gts)
     meta = {"num_classes": num_classes}
     if class_names is not None:
         meta["class_names"] = list(class_names)
-    if isinstance(gts, GroundTruthColumns):
-        images, ignore = gts.image_id, gts.ignore.tolist()
-
-        def numbers(rows):
-            boxes = (_spelled(column, json.dumps) for column in gts.boxes[rows].T)
-            return [*boxes, gts.class_id[rows].tolist()]
-
-    else:
-        images, ignore = [g.image_id for g in gts], [g.ignore for g in gts]
-        fields = [(g.box.x, g.box.y, g.box.w, g.box.h, g.class_id) for g in gts]
-        texts = [list(map(json.dumps, column)) for column in zip(*fields)]
-
-        def numbers(rows):
-            return [column[rows] for column in texts]
-
-    suffixes = [', "ignore": true' if flag else "" for flag in ignore]
+    suffixes = [', "ignore": true' if flag else "" for flag in gts.ignore.tolist()]
     tag_of = dict(zip(tags, _json_strings(tags.values())))
-    first_box = {image_id: i for i, image_id in reversed(list(enumerate(images)))}
+    first_box = {image_id: i for i, image_id in reversed(list(enumerate(gts.image_id)))}
     for image_id, i in first_box.items():
         if image_id in tag_of:
             suffixes[i] += f', "tag": {tag_of[image_id]}'
@@ -528,8 +521,13 @@ def write_ground_truth(
     template = '{"image_id": %s, "bbox": [%s, %s, %s, %s], "class_id": %s%s}\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": meta}) + "\n")
-        for rows in _blocks(len(images)):
-            columns = [_json_strings(images[rows]), *numbers(rows), suffixes[rows]]
+        for rows in _blocks(len(gts)):
+            columns = [
+                _json_strings(gts.image_id[rows]),
+                *(_spelled(column, json.dumps) for column in gts.boxes[rows].T),
+                gts.class_id[rows].tolist(),
+                suffixes[rows],
+            ]
             fh.writelines(map(template.__mod__, zip(*columns)))
         fh.writelines(
             '{"image_id": %s, "tag": %s}\n' % (json.dumps(image_id), tag_of[image_id])

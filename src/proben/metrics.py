@@ -30,15 +30,6 @@ REFERENCE_FPPI = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
 MISS_RATE_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class MatchedDetection:
-    score: float
-    class_id: int
-    label: str
-    det_id: int
-    image_id: str
-
-
 LABELS = np.array([TP, FP, IGNORED])
 
 
@@ -55,20 +46,6 @@ class MatchResult:
     image_id: np.ndarray
     num_gt: Dict[int, int]
     num_images: int
-
-    @property
-    def detections(self) -> List[MatchedDetection]:
-        """The rows as objects."""
-        return [
-            MatchedDetection(*row)
-            for row in zip(
-                self.score.tolist(),
-                self.class_id.tolist(),
-                self.label.tolist(),
-                self.det_id.tolist(),
-                self.image_id.tolist(),
-            )
-        ]
 
     def rows(self, keep: np.ndarray, num_gt: Dict[int, int], num_images: int) -> "MatchResult":
         """The rows selected by keep, with the given GT and image counts."""
@@ -321,7 +298,7 @@ class SubsetReport:
 class EvalReport:
     """AP/LAMR per breakdown key ('all' plus any image tags present)."""
 
-    subsets: Dict[str, Optional[SubsetReport]]
+    subsets: Dict[str, SubsetReport]
     num_classes: int
     class_names: Optional[List[str]] = None
 
@@ -329,10 +306,7 @@ class EvalReport:
         return {
             "num_classes": self.num_classes,
             "class_names": self.class_names,
-            "subsets": {
-                key: (report.to_dict() if report is not None else None)
-                for key, report in self.subsets.items()
-            },
+            "subsets": {key: report.to_dict() for key, report in self.subsets.items()},
         }
 
     def to_text(self) -> str:
@@ -341,9 +315,6 @@ class EvalReport:
         lines.append(header)
         lines.append("-" * len(header))
         for key, report in self.subsets.items():
-            if report is None:
-                lines.append(f"{key:<10} {'absent':>7}")
-                continue
             mean_ap = "n/a" if report.mean_ap is None else f"{report.mean_ap:9.4f}"
             lamr_s = "n/a" if report.lamr is None else f"{report.lamr:9.4f}"
             lines.append(
@@ -418,7 +389,7 @@ def breakdown(
 
     all_ids = sorted(set(dets.image_id) | set(gts.image_id) | set(tags) | set(image_ids))
     result = match_all(dets, gts, iou_threshold, image_ids=all_ids)
-    subsets: Dict[str, Optional[SubsetReport]] = {"all": _subset_report(result, num_classes)}
+    subsets = {"all": _subset_report(result, num_classes)}
     row_tags = np.array([tags.get(image_id) for image_id in result.image_id], dtype=object)
     gt_tags = np.array([tags.get(image_id) for image_id in gts.image_id], dtype=object)
     for tag in sorted(set(tags.values())):

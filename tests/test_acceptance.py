@@ -165,7 +165,9 @@ class TestCriterion4OracleEquivalence:
             gts, dets, n_gt, n_img = random_eval_instance(rng)
             result = match_all(dets, gts, 0.5, image_ids=[f"im{k}" for k in range(n_img)])
             records = [
-                (d.score, d.label == TP) for d in result.detections if d.label != IGNORED
+                (score, label == TP)
+                for score, label in zip(result.score.tolist(), result.label.tolist())
+                if label != IGNORED
             ]
             ap_worst = max(ap_worst, abs(average_precision(result, 1) - ap_oracle(records, n_gt)))
             lamr_worst = max(
@@ -283,8 +285,8 @@ class TestCriterion8InvariantSpotChecks:
             sample.append(
                 Detection(f"im{j % 2}", "rgb", box, binary(float(rng.uniform(0.1, 0.9))), det_id=i)
             )
-        rescaled = [
-            d.with_scores(binary(float(d.score ** 3))) for d in sample  # strictly monotone map
+        rescaled = [  # strictly monotone map
+            dataclasses.replace(d, scores=binary(float(d.score ** 3))) for d in sample
         ]
         base_result = match_all(sample, gts, 0.5, image_ids=["im0", "im1"])
         new_result = match_all(rescaled, gts, 0.5, image_ids=["im0", "im1"])

@@ -15,11 +15,11 @@ from proben import (
 )
 from proben.box_fusion import (
     BOX_FUSION_MODES,
-    fused_box_variance,
     fused_variance,
     member_weights,
     weighted_average,
 )
+from proben.detections import DetectionColumns
 
 
 def det(box, p, modality="rgb", variance=None, det_id=0):
@@ -112,14 +112,18 @@ class TestFuseBoxes:
             assert min(values) - 1e-9 <= getattr(out, attr) <= max(values) + 1e-9
 
 
+def member_variance(members):
+    return fused_variance(DetectionColumns.of(members).variances[None, :])[0]
+
+
 class TestFusedBoxVariance:
     def test_inverse_variance_sum(self):
         members = [det(BOX_A, 0.8, variance=1.0), det(BOX_B, 0.7, variance=3.0, det_id=1)]
-        assert fused_box_variance(members) == pytest.approx(0.75)
+        assert member_variance(members) == pytest.approx(0.75)
 
-    def test_none_when_any_missing(self):
+    def test_nan_when_any_missing(self):
         members = [det(BOX_A, 0.8, variance=1.0), det(BOX_B, 0.7, det_id=1)]
-        assert fused_box_variance(members) is None
+        assert np.isnan(member_variance(members))
 
 
 def reference_box(members, fused_scores, mode):

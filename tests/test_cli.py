@@ -626,6 +626,28 @@ class TestExitCodes:
         assert main(argv) == 2
         self.clean_error(capsys, f"{paths[bad]}:{line}: record nested too deeply")
 
+    def test_line_too_deep_for_orjson_returns_2(self, tmp_path):
+        """A line nested 10^6 deep overflows orjson's C stack; json reads it
+        and stops at its depth. Run in a subprocess, so that a crash fails
+        this test instead of ending the run."""
+        path = tmp_path / "det.jsonl"
+        path.write_text("[" * 10**6 + "]" * 10**6 + "\n", encoding="utf-8")
+        out = tmp_path / "fused.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "proben.cli", "fuse", str(path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, f"error: {path}:1: record nested too deeply\n")
+
+    def test_spec_nested_too_deeply_returns_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"seed": ' + self.DEEP + "}", encoding="utf-8")
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), "--spec", str(spec_path)]) == 2
+        self.clean_error(capsys, f"{spec_path}: invalid JSON: nested too deeply")
+        assert not out.exists()
+
 
 class TestIgnoreFlag:
     """One image, two ground truths, one detection on the first of them."""

@@ -253,7 +253,7 @@ def reference_fuse_all(detection_sets, config):
     for d in dets:
         params = config.calibration.get(d.modality)
         scores = d.scores if params is None else calibrate_scores(d.scores, params)
-        calibrated.append(d if scores is d.scores else d.with_scores(scores))
+        calibrated.append(d if scores is d.scores else dataclasses.replace(d, scores=scores))
     prior = config.prior or ClassPrior.uniform(dets[0].scores.num_foreground)
     out = []
     for image_id in sorted({d.image_id for d in dets}):

@@ -977,6 +977,9 @@ VALID_LINES = [
     '{"image_id": "img00000", "bbox": [471.25, 68.5, 52.3, 87.0], "class_id": 1, "tag": "day", '
     '"ignore": true}',
     '{"image_id": "x", "tag": null}',
+    # past the length from which json decodes every line
+    '{"image_id": "long", "modality": "rgb", "bbox": [1, 2, 3, 4], "logits": [0.5, -1e-05], '
+    '"note": "' + "x" * (1 << 16) + '"}',
 ]
 TOKENS = st.one_of(
     st.sampled_from(
@@ -1190,14 +1193,26 @@ def ground_truth_case(draw):
     return gts, tags, class_names
 
 
+def as_floats(gts):
+    """gts as their columns hold them: every coordinate a float."""
+    boxes = GroundTruthColumns.of(gts).boxes.tolist()
+    return [
+        GroundTruth(g.image_id, BBox(*box), g.class_id, ignore=g.ignore)
+        for g, box in zip(gts, boxes)
+    ]
+
+
 class TestGroundTruthWriter:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ground_truth_case())
     def test_bytes_equal_one_dumps_per_record(self, tmp_path, case):
+        """An object list is written as its columns are, every coordinate a float."""
         gts, tags, class_names = case
+        want = dumps_ground_truth(as_floats(gts), tags, 3, class_names)
         path = tmp_path / "gt.jsonl"
-        write_ground_truth(path, gts, tags, 3, class_names=class_names)
-        assert path.read_text(encoding="utf-8") == dumps_ground_truth(gts, tags, 3, class_names)
+        for given_gts in (gts, GroundTruthColumns.of(gts)):
+            write_ground_truth(path, given_gts, tags, 3, class_names=class_names)
+            assert path.read_text(encoding="utf-8") == want
 
     def test_every_record_layout(self, tmp_path):
         gts = [
@@ -1210,36 +1225,16 @@ class TestGroundTruthWriter:
         path = tmp_path / "gt.jsonl"
         write_ground_truth(path, gts, tags, 3)
         text = path.read_text(encoding="utf-8")
-        assert text == dumps_ground_truth(gts, tags, 3)
+        assert text == dumps_ground_truth(as_floats(gts), tags, 3)
         assert text.splitlines()[1:] == [
-            '{"image_id": "a", "bbox": [0, 0, 10, 55.5], "class_id": 1, "tag": "day"}',
+            '{"image_id": "a", "bbox": [0.0, 0.0, 10.0, 55.5], "class_id": 1, "tag": "day"}',
             '{"image_id": "q\\"\\u00e9", "bbox": [5.0, -0.0, 1e+16, 1e-07], "class_id": 2, '
             '"ignore": true, "tag": "night"}',
-            '{"image_id": "a", "bbox": [1, 1, 8, 70], "class_id": 1, "ignore": true}',
+            '{"image_id": "a", "bbox": [1.0, 1.0, 8.0, 70.0], "class_id": 1, "ignore": true}',
             '{"image_id": "b", "bbox": [1.5, 2.5, 3.5, 4.5], "class_id": 3}',
             '{"image_id": "y", "tag": "day"}',
             '{"image_id": "z", "tag": "night"}',
         ]
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(ground_truth_case())
-    def test_columns_equal_one_dumps_per_record(self, tmp_path, case):
-        gts, tags, class_names = case
-        columns = GroundTruthColumns.of(gts)
-        as_floats = [
-            GroundTruth(g.image_id, BBox(*box), g.class_id, ignore=g.ignore)
-            for g, box in zip(gts, columns.boxes.tolist())
-        ]
-        path = tmp_path / "gt.jsonl"
-        write_ground_truth(path, columns, tags, 3, class_names=class_names)
-        want = dumps_ground_truth(as_floats, tags, 3, class_names)
-        assert path.read_text(encoding="utf-8") == want
-
-    def test_bool_and_float_subclass_coordinates_spelled_as_json(self, tmp_path):
-        gts = [GroundTruth("a", BBox(True, np.float64(0.1), 2, np.float64(3.0)), 1)]
-        path = tmp_path / "gt.jsonl"
-        write_ground_truth(path, gts, {}, 1)
-        assert path.read_text(encoding="utf-8") == dumps_ground_truth(gts, {}, 1)
 
 
 CURVE_VALUES = st.sampled_from(

@@ -83,44 +83,44 @@ def lamr_oracle(records, npos, image_count):
 class TestMatch:
     def test_single_tp(self):
         result = match([det("i", B, 0.9, 0)], [gt("i", B)])
-        assert [d.label for d in result.detections] == [TP]
+        assert result.label.tolist() == [TP]
         assert result.num_gt == {1: 1}
 
     def test_double_detection_second_is_fp(self):
         dets = [det("i", B, 0.9, 0), det("i", BBox(1, 1, 10, 20), 0.8, 1)]
         result = match(dets, [gt("i", B)])
-        assert [d.label for d in result.detections] == [TP, FP]
+        assert result.label.tolist() == [TP, FP]
 
     def test_ignored_gt_absorbs_detection(self):
         result = match([det("i", B, 0.9, 0)], [gt("i", B, ignore=True)])
-        assert [d.label for d in result.detections] == [IGNORED]
+        assert result.label.tolist() == [IGNORED]
         assert result.num_gt == {}
 
     def test_prefers_real_gt_over_ignored(self):
         gts = [gt("i", B, ignore=True), gt("i", BBox(0.5, 0.5, 10, 20))]
         result = match([det("i", B, 0.9, 0)], gts)
-        assert [d.label for d in result.detections] == [TP]
+        assert result.label.tolist() == [TP]
 
     def test_class_mismatch_is_fp(self):
         d = det("i", B, 0.9, 0, posteriors=[0.05, 0.9, 0.05])
         result = match([d], [gt("i", B, class_id=2)])
-        assert [d.label for d in result.detections] == [FP]
+        assert result.label.tolist() == [FP]
 
     def test_takes_highest_iou_gt(self):
         near = gt("i", BBox(0.2, 0.2, 10, 20))
         far = gt("i", BBox(4, 4, 10, 20))
         result = match([det("i", B, 0.9, 0), det("i", BBox(4, 4, 10, 20), 0.8, 1)], [far, near])
-        assert [d.label for d in result.detections] == [TP, TP]
+        assert result.label.tolist() == [TP, TP]
 
     def test_below_threshold_is_fp(self):
         result = match([det("i", B_FAR, 0.9, 0)], [gt("i", B)])
-        assert [d.label for d in result.detections] == [FP]
+        assert result.label.tolist() == [FP]
 
     def test_strictly_greater_than_threshold(self):
         # two unit boxes overlapping exactly half: IoU = 1/3, not > 1/3
         a = BBox(0, 0, 2, 1)
         result = match([det("i", a, 0.9, 0)], [gt("i", BBox(1, 0, 2, 1))], iou_threshold=1 / 3)
-        assert [d.label for d in result.detections] == [FP]
+        assert result.label.tolist() == [FP]
 
 
 class TestAveragePrecision:
@@ -163,7 +163,9 @@ class TestAveragePrecision:
             result = match_all(dets, gts)
             got = average_precision(result, 1)
             records = [
-                (d.score, d.label == TP) for d in result.detections if d.label != IGNORED
+                (score, label == TP)
+                for score, label in zip(result.score.tolist(), result.label.tolist())
+                if label != IGNORED
             ]
             want = ap_oracle(records, n_gt)
             assert got == pytest.approx(want, abs=1e-9), f"seed {seed}"
@@ -225,7 +227,10 @@ class TestLamr:
         ]
         result = match_all(dets, gts)
         got = lamr(result, 3)
-        records = [(d.score, d.label == TP) for d in result.detections]
+        records = [
+            (score, label == TP)
+            for score, label in zip(result.score.tolist(), result.label.tolist())
+        ]
         want = lamr_oracle(records, 3, 3)
         assert got == pytest.approx(want, abs=1e-9)
         # threshold sweep by hand: fppi 0, 1/3, 1/3, 2/3; miss 2/3, 2/3, 1/3, 1/3
@@ -255,7 +260,9 @@ class TestLamr:
             result = match_all(dets, gts, image_ids=[f"im{k}" for k in range(n_img)])
             got = lamr(result, n_img)
             records = [
-                (d.score, d.label == TP) for d in result.detections if d.label != IGNORED
+                (score, label == TP)
+                for score, label in zip(result.score.tolist(), result.label.tolist())
+                if label != IGNORED
             ]
             want = lamr_oracle(records, n_gt, n_img)
             assert got == pytest.approx(want, abs=1e-9), f"seed {seed}"
@@ -375,7 +382,7 @@ def subset_reference(dets, gts, ids, num_classes):
         lamr_value, miss_curve = lamr(result, len(ids)), (list(fppi), list(miss))
     else:
         lamr_value, miss_curve = None, ([], [])
-    labels = [m.label for m in result.detections]
+    labels = result.label.tolist()
     return {
         "num_images": len(ids),
         "num_gt": result.num_gt,
@@ -439,6 +446,12 @@ class TestBreakdownMatchesOnce:
         )
         breakdown(dets, gts, tags, num_classes=3)
         assert len(calls) == 1
+
+
+def pooled_rows(result):
+    """(score, class id, label, det id, image id) of each row of result."""
+    columns = (result.score, result.class_id, result.label, result.det_id, result.image_id)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def brute_force_match(dets, gts, iou_threshold, image_ids):
@@ -529,7 +542,7 @@ class TestColumnMatcher:
     def test_equals_brute_force(self, dets, gts, image_ids, iou_threshold):
         result = match_all(dets, gts, iou_threshold, image_ids=image_ids)
         rows, num_gt = brute_force_match(dets, gts, iou_threshold, image_ids)
-        got = [(m.score, m.class_id, m.label, m.det_id, m.image_id) for m in result.detections]
+        got = pooled_rows(result)
         assert got == rows
         assert result.num_gt == num_gt
         assert result.num_images == len(image_ids)
@@ -540,6 +553,6 @@ class TestColumnMatcher:
             iou_threshold,
         )
         rows, num_gt = brute_force_match(dets, gts, iou_threshold, ["a"])
-        got = [(m.score, m.class_id, m.label, m.det_id, m.image_id) for m in one.detections]
+        got = pooled_rows(one)
         assert got == rows
         assert (one.num_gt, one.num_images) == (num_gt, 1)
