@@ -85,8 +85,10 @@ class ClassScores:
     One detection holds one vector; a stack of shape (N, K+1) holds the rows
     of N detections, and every method then answers per row. The posteriors
     (the softmax of the logits) and the ranking fields (score, foreground
-    argmax, log-posteriors) are derived once per instance, on first use, so
-    what fusion ranks by is what a writer of the logits writes.
+    argmax, log-posteriors) are derived once per instance, on first use, from
+    its own logits, so what fusion ranks by is what a writer of the logits
+    writes. They are derived row by row: a row's values do not depend on
+    which rows share its stack.
     """
 
     logits: np.ndarray
@@ -120,19 +122,8 @@ class ClassScores:
         return np.array_equal(self.logits, other.logits)
 
     def take(self, rows) -> "ClassScores":
-        """The stack of the given rows; the fields already derived for this
-        stack carry over."""
-        taken = ClassScores(logits=self.logits[rows])
-        derived = self.__dict__  # the slots of the cached properties below
-        for name in ("posteriors", "log_posteriors"):
-            if name in derived:
-                values = derived[name][rows]
-                values.flags.writeable = False
-                taken.__dict__[name] = values
-        if "_ranking" in derived:
-            score, cls = derived["_ranking"]
-            taken.__dict__["_ranking"] = score[rows], cls[rows]
-        return taken
+        """The stack of the given rows."""
+        return ClassScores(logits=self.logits[rows])
 
     @property
     def num_foreground(self) -> int:
@@ -159,14 +150,6 @@ class ClassScores:
             return float(self.posteriors[cls]), cls
         cls = 1 + np.argmax(self.posteriors[:, 1:], axis=1)
         return self.posteriors[np.arange(len(cls)), cls], cls
-
-    def row(self, i: int) -> "ClassScores":
-        """Row i of a stack, with the stack's ranking fields if it derived them."""
-        row = ClassScores(logits=self.logits[i])
-        if "_ranking" in self.__dict__:  # cached_property's slot
-            score, cls = self._ranking
-            row.__dict__["_ranking"] = (float(score[i]), int(cls[i]))
-        return row
 
     def argmax_foreground(self):
         """Highest-posterior foreground class; ties go to the lower class id."""
@@ -306,18 +289,17 @@ class DetectionColumns:
                 image_id,
                 modality,
                 BBox(*box),
-                self.scores.row(i),
+                ClassScores(logits=row),
                 None if math.isnan(variance) else variance,
                 det_id,
             )
-            for i, (image_id, modality, box, variance, det_id) in enumerate(
-                zip(
-                    self.image_id,
-                    self.modality,
-                    self.boxes.tolist(),
-                    self.variances.tolist(),
-                    self.det_id.tolist(),
-                )
+            for image_id, modality, box, row, variance, det_id in zip(
+                self.image_id,
+                self.modality,
+                self.boxes.tolist(),
+                self.scores.logits,
+                self.variances.tolist(),
+                self.det_id.tolist(),
             )
         ]
 

@@ -345,8 +345,6 @@ def fuse_columns(batch: DetectionBatch, config: FusionConfig) -> FusedColumns:
     prior = config.prior
     if prior is None:
         prior = ClassPrior.uniform(scores.num_foreground)
-    if config.score_fusion == "proben":
-        scores.log_posteriors  # derived once for the stack; each take of it keeps its rows
     logits = np.empty((len(sizes), scores.logits.shape[1]))
     for numbers, positions in layouts:
         logits[numbers] = _fuse_scores(members[positions], scores, config, prior).logits

@@ -91,8 +91,9 @@ def calibrate_scores(scores: ClassScores, params: CalibrationParams) -> ClassSco
 
     A shift applied to every class would cancel in the softmax; restricting
     it to foreground entries reproduces the scalar relative-logit shift.
-    Identity parameters (T=1, b=0) return the scores unchanged, with what
-    they have derived.
+    Identity parameters (T=1, b=0) return the scores unchanged: adding a
+    shift of 0.0 would turn a -0.0 logit into 0.0, and ``max`` mode writes
+    the calibrated seeds.
     """
     if params.temperature == 1.0 and params.shift == 0.0:
         return scores

@@ -7,7 +7,6 @@ per session.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 
 from proben import (
     BBox,
-    CalibrationParams,
     ClassPrior,
     ClassScores,
     Detection,

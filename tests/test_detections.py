@@ -115,6 +115,39 @@ class TestClassScores:
         with pytest.raises(ValueError):
             s.posteriors[0] = 0.5
 
+    @given(st.data())
+    def test_rows_derive_what_their_stack_derives(self, data):
+        # mixed magnitudes, signed zeros and repeated (tied) rows; widths up
+        # to 10 reach numpy's pairwise summation, which starts at 8 entries
+        width = data.draw(st.integers(2, 10))
+        entry = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 700.0, -700.0]),
+            st.floats(-1e-6, 1e-6),
+            st.floats(-1e3, 1e3),
+        )
+        distinct = data.draw(
+            st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=4)
+        )
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+        stack = ClassScores.from_logits([distinct[k] for k in picks])
+        n = len(picks)
+        rows = data.draw(
+            st.one_of(
+                st.lists(st.integers(0, n - 1), max_size=2 * n),
+                st.just(list(range(n))[::-1]),
+            )
+        )
+        rows = np.array(rows, dtype=np.intp)
+
+        taken = stack.take(rows)
+        for name in ("posteriors", "log_posteriors", "score"):
+            assert getattr(taken, name).tobytes() == getattr(stack, name)[rows].tobytes()
+        assert taken.argmax_foreground().tobytes() == stack.argmax_foreground()[rows].tobytes()
+        for i in range(n):
+            row = ClassScores(logits=stack.logits[i])
+            assert row.score == float(stack.score[i])
+            assert row.argmax_foreground() == int(stack.argmax_foreground()[i])
+
 
 class TestDetection:
     def test_variance_must_be_positive(self):

@@ -28,10 +28,9 @@ PUBLIC = "public helper"
 
 NEVER_ENTERED = {
     "box_fusion.fuse_boxes": WRAPPED,
-    "detections.softmax": PUBLIC,  # perfbench's workloads and reference use it
+    "detections.softmax": PUBLIC,  # only tests call it; perfbench has its own
     "detections.ClassScores.stack": OBJECT_VIEW,
     "detections.ClassScores.__eq__": OBJECT_VIEW,
-    "detections.ClassScores.row": OBJECT_VIEW,
     "detections.check_box_variance": ERROR_PATH,
     "detections.Detection.__post_init__": OBJECT_VIEW,
     "detections.Detection.class_id": OBJECT_VIEW,
