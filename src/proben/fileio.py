@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from array import array
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -362,9 +363,9 @@ def _spelled(column, respell) -> list:
 
 
 def _json_strings(values) -> list:
-    """``json.dumps`` of each value, each distinct one encoded once."""
-    text = {value: json.dumps(value) for value in set(values)}
-    return list(map(text.__getitem__, values))
+    """``json.dumps`` of each value; a ``str`` goes straight to the encoder
+    that ``json.dumps`` calls for one."""
+    return [_encode_str(v) if isinstance(v, str) else json.dumps(v) for v in values]
 
 
 def _variance_suffixes(variances: np.ndarray) -> list:

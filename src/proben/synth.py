@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -127,122 +126,131 @@ class SyntheticDataset:
     num_classes: int
 
 
-Box = Tuple[float, float, float, float]  # x, y, w, h
+def _uniform(low, high, u):
+    """``rng.uniform(low, high)`` whose one ``rng.random()`` draw was u."""
+    return low + (high - low) * u
 
 
-def _random_box(rng, image_size) -> Box:
+def _normal(loc, scale, z):
+    """``rng.normal(loc, scale)`` whose one ``rng.standard_normal()`` draw was z."""
+    return loc + scale * z
+
+
+def _boxes(u: np.ndarray, image_size) -> np.ndarray:
+    """(x, y, w, h) rows from rows of four uniform draws, taken as w, h, x, y."""
     width, height = image_size
-    w = rng.uniform(25.0, 70.0)
-    h = rng.uniform(55.0, 140.0)
-    x = rng.uniform(0.0, max(width - w, 1.0))
-    y = rng.uniform(0.0, max(height - h, 1.0))
-    return x, y, w, h
+    w = _uniform(25.0, 70.0, u[:, 0])
+    h = _uniform(55.0, 140.0, u[:, 1])
+    x = _uniform(0.0, np.maximum(width - w, 1.0), u[:, 2])
+    y = _uniform(0.0, np.maximum(height - h, 1.0), u[:, 3])
+    return np.column_stack([x, y, w, h])
 
 
-def _perturbed_box(rng, box: Box, std: float) -> Box:
-    if std == 0.0:
-        return box
-    dx, dy, dw, dh = rng.normal(0.0, std, size=4).tolist()
-    x, y, w, h = box
-    return x + dx, y + dy, max(w + dw, _MIN_EXTENT), max(h + dh, _MIN_EXTENT)
-
-
-def _logits(rng, num_classes: int, class_id: int, concentration: float) -> np.ndarray:
-    logits = rng.normal(0.0, 1.0, size=num_classes + 1)
-    logits[class_id] += concentration
-    return logits
-
-
-def _reported_variance(rng, profile: ModalityProfile) -> float:
-    base = max(profile.loc_noise, _MIN_NOISE_STD) ** 2
+def _scored(z: np.ndarray, classes, concentration: float, profile: ModalityProfile):
+    """Logits and reported box variances from rows of standard normal draws:
+    the logits' draws, then one variance draw when variance_noise > 0."""
+    width = z.shape[1] - (profile.variance_noise > 0)
+    logits = _normal(0.0, 1.0, z[:, :width])
+    logits[np.arange(len(logits)), classes] += concentration
+    variances = np.full(len(logits), max(profile.loc_noise, _MIN_NOISE_STD) ** 2)
     if profile.variance_noise > 0:
-        base *= float(np.exp(rng.normal(0.0, profile.variance_noise)))
-    return base
-
-
-class _Fired:
-    """One modality's detections, appended field by field."""
-
-    def __init__(self):
-        self.image_ids: List[str] = []
-        self.boxes, self.logits, self.variances = array("d"), array("d"), array("d")
-
-    def append(self, image_id: str, box: Box, logits: np.ndarray, variance: float):
-        self.image_ids.append(image_id)
-        self.boxes.extend(box)
-        self.logits.frombytes(logits.tobytes())
-        self.variances.append(variance)
-
-    def columns(self, modality: str, width: int, first_id: int) -> DetectionColumns:
-        logits = np.frombuffer(self.logits).reshape(-1, width)
-        n = len(self.image_ids)
-        return DetectionColumns(
-            image_id=self.image_ids,
-            modality=[modality] * n,
-            boxes=np.frombuffer(self.boxes).reshape(-1, 4),
-            variances=np.frombuffer(self.variances),
-            scores=ClassScores(logits),
-            det_id=np.arange(first_id, first_id + n, dtype=np.int64),
-        )
+        variances *= np.exp(_normal(0.0, profile.variance_noise, z[:, width]))
+    return logits, variances
 
 
 def generate(spec: ScenarioSpec) -> SyntheticDataset:
-    """Deterministic given the seed: one RNG stream, fixed iteration order."""
+    """Deterministic given the seed: one RNG stream, drawn in a pinned order.
+
+    The loop makes every draw in that order, one call per group of draws:
+    per image, the tag's ``random`` and a ``poisson``; per object, four
+    uniforms (w, h, x, y), its class and the ignore ``random``; then per
+    modality (sorted), per object a ``random`` coin and, if it fires, one
+    ``standard_normal`` call for the box noise (when loc_noise > 0), the
+    logits and the variance noise (when variance_noise > 0); then a
+    ``poisson`` and, per false positive, its class, four uniforms and the
+    logits' and variance's normals. The arithmetic then runs on the stacked
+    draws, as ``rng.uniform`` and ``rng.normal`` would have applied it.
+    """
     rng = np.random.default_rng(spec.seed)
     modalities = sorted(spec.profiles)
-
-    gt_images: List[str] = []
-    gt_boxes, gt_classes, gt_ignore = array("d"), array("q"), array("b")
-    fired = {m: _Fired() for m in modalities}
-    tags: Dict[str, str] = {}
+    width = spec.num_classes + 1
+    several = spec.num_classes > 1  # integers(1, 2) draws nothing
+    nights: List[bool] = []
+    gt_image, gt_u, gt_class, gt_ignore = [], [], [], []
+    # per modality and tag: the profile, the normals per true and per false
+    # positive, the true positives' ground truths and normals, and the false
+    # positives' images, classes, uniforms and normals
+    drawn = {}
+    for modality in modalities:
+        for night in (False, True):
+            p = spec.profiles[modality]["night" if night else "day"]
+            size = width + (p.variance_noise > 0)
+            drawn[modality, night] = (p, size + 4 * (p.loc_noise > 0), size, [], [], [], [], [], [])
 
     for i in range(spec.image_count):
-        image_id = f"img{i:05d}"
-        tag = "night" if rng.random() < spec.night_fraction else "day"
-        tags[image_id] = tag
-
-        objects: List[Tuple[Box, int]] = []
+        night = rng.random() < spec.night_fraction
+        nights.append(night)
+        first = len(gt_image)
         for _ in range(rng.poisson(spec.objects_per_image)):
-            box = _random_box(rng, spec.image_size)
-            class_id = int(rng.integers(1, spec.num_classes + 1))
-            gt_ignore.append(rng.random() < spec.ignore_fraction)
-            objects.append((box, class_id))
-            gt_images.append(image_id)
-            gt_boxes.extend(box)
-            gt_classes.append(class_id)
-
+            gt_image.append(i)
+            gt_u.append(rng.random(4))
+            gt_class.append(int(rng.integers(1, width)) if several else 1)
+            gt_ignore.append(rng.random())
         for modality in modalities:
-            profile = spec.profiles[modality][tag]
-            out = fired[modality]
-            for gt_box, class_id in objects:
-                if rng.random() >= profile.recall:
-                    continue
-                box = _perturbed_box(rng, gt_box, profile.loc_noise)
-                logits = _logits(rng, spec.num_classes, class_id, profile.tp_concentration)
-                out.append(image_id, box, logits, _reported_variance(rng, profile))
-            for _ in range(rng.poisson(profile.fp_rate)):
-                fp_class = int(rng.integers(1, spec.num_classes + 1))
-                box = _random_box(rng, spec.image_size)
-                logits = _logits(rng, spec.num_classes, fp_class, profile.fp_concentration)
-                out.append(image_id, box, logits, _reported_variance(rng, profile))
+            p, tp_size, fp_size, tp_gt, tp_z, fp_image, fp_class, fp_u, fp_z = drawn[modality, night]
+            for g in range(first, len(gt_image)):
+                if rng.random() < p.recall:
+                    tp_gt.append(g)
+                    tp_z.append(rng.standard_normal(tp_size))
+            for _ in range(rng.poisson(p.fp_rate)):
+                fp_image.append(i)
+                fp_class.append(int(rng.integers(1, width)) if several else 1)
+                fp_u.append(rng.random(4))
+                fp_z.append(rng.standard_normal(fp_size))
 
+    names = [f"img{i:05d}" for i in range(spec.image_count)]
+    gt_image, gt_class = np.array(gt_image, dtype=np.intp), np.array(gt_class, dtype=np.int64)
+    gt_boxes = _boxes(np.reshape(gt_u, (-1, 4)), spec.image_size)
     # det_ids are unique across modalities and numbered modality by modality,
     # as the CLI numbers the files written here when it reads them in order
     detections: Dict[str, DetectionColumns] = {}
-    next_id = 0
     for modality in modalities:
-        detections[modality] = fired[modality].columns(modality, spec.num_classes + 1, next_id)
-        next_id += len(detections[modality])
+        parts = []  # (2 * image, + 1 for a false positive), boxes, logits, variances
+        for night in (False, True):
+            p, tp_size, fp_size, tp_gt, tp_z, fp_image, fp_class, fp_u, fp_z = drawn[modality, night]
+            tp_gt, z = np.array(tp_gt, dtype=np.intp), np.reshape(tp_z, (-1, tp_size))
+            boxes = gt_boxes[tp_gt]
+            if p.loc_noise > 0:
+                boxes = boxes + _normal(0.0, p.loc_noise, z[:, :4])
+                boxes[:, 2:] = np.maximum(boxes[:, 2:], _MIN_EXTENT)
+                z = z[:, 4:]
+            parts.append((2 * gt_image[tp_gt], boxes,
+                          *_scored(z, gt_class[tp_gt], p.tp_concentration, p)))
+            fp_z, fp_class = np.reshape(fp_z, (-1, fp_size)), np.array(fp_class, dtype=np.intp)
+            parts.append((2 * np.array(fp_image, dtype=np.intp) + 1,
+                          _boxes(np.reshape(fp_u, (-1, 4)), spec.image_size),
+                          *_scored(fp_z, fp_class, p.fp_concentration, p)))
+        key, boxes, logits, variances = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(key, kind="stable")  # by image, true positives first
+        first_id = sum(map(len, detections.values()))
+        detections[modality] = DetectionColumns(
+            image_id=[names[i] for i in (key[order] // 2).tolist()],
+            modality=[modality] * len(order),
+            boxes=boxes[order],
+            variances=variances[order],
+            scores=ClassScores(logits[order]),
+            det_id=np.arange(first_id, first_id + len(order), dtype=np.int64),
+        )
 
     return SyntheticDataset(
         ground_truths=GroundTruthColumns(
-            image_id=gt_images,
-            boxes=np.frombuffer(gt_boxes).reshape(-1, 4),
-            class_id=np.frombuffer(gt_classes, dtype=np.int64),
-            ignore=np.frombuffer(gt_ignore, dtype=bool),
+            image_id=[names[i] for i in gt_image.tolist()],
+            boxes=gt_boxes,
+            class_id=gt_class,
+            ignore=np.array(gt_ignore) < spec.ignore_fraction,
         ),
         detections=detections,
-        tags=tags,
+        tags={name: "night" if night else "day" for name, night in zip(names, nights)},
         num_classes=spec.num_classes,
     )
 

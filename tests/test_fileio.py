@@ -1120,6 +1120,17 @@ class TestColumnWriter:
         assert out.read_text(encoding="utf-8") == parent_writer_lines(columns.to_detections())
 
 
+def test_detection_image_ids_that_are_not_str(tmp_path):
+    scores = ClassScores.from_logits([0.0, 1.5])
+    dets = [
+        Detection(image_id, "rgb", BBox(0.0, 0.5, 10.0, 20.0), scores, det_id=i)
+        for i, image_id in enumerate([7, "7", 2.5, None, "\ud800"])
+    ]
+    out = tmp_path / "out.jsonl"
+    write_detections(out, dets)
+    assert out.read_text(encoding="utf-8") == parent_writer_lines(dets)
+
+
 def test_non_finite_logits_spelled_as_json(tmp_path):
     """A stack built directly can hold logits no reader or fusion path makes."""
     logits = np.array([[0.0, -math.inf], [math.nan, 1.5], [math.inf, -0.0]])
@@ -1160,7 +1171,12 @@ def dumps_ground_truth(gts, tags, num_classes, class_names=None):
     return "".join(line + "\n" for line in lines)
 
 
-IMAGE_IDS = st.sampled_from(["a", "b", "é", 'say "hi"', "back\\slash", "日本", "tab\t", "c"])
+# with the characters JSON escapes or spells as \u escapes: controls, DEL,
+# a line separator, a lone surrogate and a non-BMP character (a surrogate pair)
+IMAGE_IDS = st.sampled_from(
+    ["a", "b", "é", 'say "hi"', "back\\slash", "日本", "tab\t", "c",
+     "\ud800", "\x00", "\x1f", "\x7f", "\u2028", "\U0001d11e"]
+)
 # where orjson's spelling leaves repr's: 1e-4 and 1e16, each one ulp either
 # side; subnormals; integer-valued floats
 BOUNDARY_VALUES = [
@@ -1213,6 +1229,22 @@ class TestGroundTruthWriter:
         for given_gts in (gts, GroundTruthColumns.of(gts)):
             write_ground_truth(path, given_gts, tags, 3, class_names=class_names)
             assert path.read_text(encoding="utf-8") == want
+
+    def test_image_ids_that_are_not_str(self, tmp_path):
+        """An object keeps whatever image id it was given, and a non-str one
+        is written as ``json.dumps`` writes it."""
+        gts = [
+            GroundTruth(7, BBox(0, 0, 10, 20), 1),
+            GroundTruth("7", BBox(1, 1, 10, 20), 2),
+            GroundTruth(2.5, BBox(2, 2, 10, 20), 1, ignore=True),
+            GroundTruth(None, BBox(3, 3, 10, 20), 3),
+        ]
+        tags = {"7": "night", "z": "day"}
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(path, gts, tags, 3)
+        text = path.read_text(encoding="utf-8")
+        assert text == dumps_ground_truth(as_floats(gts), tags, 3)
+        assert '{"image_id": 7, "bbox"' in text and '"image_id": null' in text
 
     def test_every_record_layout(self, tmp_path):
         gts = [

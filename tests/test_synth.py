@@ -1,9 +1,15 @@
+from array import array
+from typing import Dict, List, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proben import ConfigurationError, ModalityProfile, ScenarioSpec, generate, kaist_like_spec
 from proben.cli import _read_detection_sets, build_parser
+from proben.detections import ClassScores, DetectionColumns, GroundTruthColumns
 from proben.fileio import write_detections
+from proben.synth import _MIN_EXTENT, _MIN_NOISE_STD, SyntheticDataset
 
 
 def perfect_profile():
@@ -168,6 +174,230 @@ class TestGenerate:
             i for m in sorted(dataset.detections) for i in dataset.detections[m].det_id.tolist()
         ]
         assert generated == read == list(range(len(read)))
+
+
+# The generator as it made one RNG call per draw, kept as the oracle of the
+# batched draws of ``generate``: both must give every value bit for bit.
+
+Box = Tuple[float, float, float, float]  # x, y, w, h
+
+
+def _random_box(rng, image_size) -> Box:
+    width, height = image_size
+    w = rng.uniform(25.0, 70.0)
+    h = rng.uniform(55.0, 140.0)
+    x = rng.uniform(0.0, max(width - w, 1.0))
+    y = rng.uniform(0.0, max(height - h, 1.0))
+    return x, y, w, h
+
+
+def _perturbed_box(rng, box: Box, std: float) -> Box:
+    if std == 0.0:
+        return box
+    dx, dy, dw, dh = rng.normal(0.0, std, size=4).tolist()
+    x, y, w, h = box
+    return x + dx, y + dy, max(w + dw, _MIN_EXTENT), max(h + dh, _MIN_EXTENT)
+
+
+def _logits(rng, num_classes: int, class_id: int, concentration: float) -> np.ndarray:
+    logits = rng.normal(0.0, 1.0, size=num_classes + 1)
+    logits[class_id] += concentration
+    return logits
+
+
+def _reported_variance(rng, profile: ModalityProfile) -> float:
+    base = max(profile.loc_noise, _MIN_NOISE_STD) ** 2
+    if profile.variance_noise > 0:
+        base *= float(np.exp(rng.normal(0.0, profile.variance_noise)))
+    return base
+
+
+class _Fired:
+    """One modality's detections, appended field by field."""
+
+    def __init__(self):
+        self.image_ids: List[str] = []
+        self.boxes, self.logits, self.variances = array("d"), array("d"), array("d")
+
+    def append(self, image_id: str, box: Box, logits: np.ndarray, variance: float):
+        self.image_ids.append(image_id)
+        self.boxes.extend(box)
+        self.logits.frombytes(logits.tobytes())
+        self.variances.append(variance)
+
+    def columns(self, modality: str, width: int, first_id: int) -> DetectionColumns:
+        logits = np.frombuffer(self.logits).reshape(-1, width)
+        n = len(self.image_ids)
+        return DetectionColumns(
+            image_id=self.image_ids,
+            modality=[modality] * n,
+            boxes=np.frombuffer(self.boxes).reshape(-1, 4),
+            variances=np.frombuffer(self.variances),
+            scores=ClassScores(logits),
+            det_id=np.arange(first_id, first_id + n, dtype=np.int64),
+        )
+
+
+def reference_generate(spec: ScenarioSpec) -> SyntheticDataset:
+    """Deterministic given the seed: one RNG stream, fixed iteration order."""
+    rng = np.random.default_rng(spec.seed)
+    modalities = sorted(spec.profiles)
+
+    gt_images: List[str] = []
+    gt_boxes, gt_classes, gt_ignore = array("d"), array("q"), array("b")
+    fired = {m: _Fired() for m in modalities}
+    tags: Dict[str, str] = {}
+
+    for i in range(spec.image_count):
+        image_id = f"img{i:05d}"
+        tag = "night" if rng.random() < spec.night_fraction else "day"
+        tags[image_id] = tag
+
+        objects: List[Tuple[Box, int]] = []
+        for _ in range(rng.poisson(spec.objects_per_image)):
+            box = _random_box(rng, spec.image_size)
+            class_id = int(rng.integers(1, spec.num_classes + 1))
+            gt_ignore.append(rng.random() < spec.ignore_fraction)
+            objects.append((box, class_id))
+            gt_images.append(image_id)
+            gt_boxes.extend(box)
+            gt_classes.append(class_id)
+
+        for modality in modalities:
+            profile = spec.profiles[modality][tag]
+            out = fired[modality]
+            for gt_box, class_id in objects:
+                if rng.random() >= profile.recall:
+                    continue
+                box = _perturbed_box(rng, gt_box, profile.loc_noise)
+                logits = _logits(rng, spec.num_classes, class_id, profile.tp_concentration)
+                out.append(image_id, box, logits, _reported_variance(rng, profile))
+            for _ in range(rng.poisson(profile.fp_rate)):
+                fp_class = int(rng.integers(1, spec.num_classes + 1))
+                box = _random_box(rng, spec.image_size)
+                logits = _logits(rng, spec.num_classes, fp_class, profile.fp_concentration)
+                out.append(image_id, box, logits, _reported_variance(rng, profile))
+
+    # det_ids are unique across modalities and numbered modality by modality,
+    # as the CLI numbers the files written here when it reads them in order
+    detections: Dict[str, DetectionColumns] = {}
+    next_id = 0
+    for modality in modalities:
+        detections[modality] = fired[modality].columns(modality, spec.num_classes + 1, next_id)
+        next_id += len(detections[modality])
+
+    return SyntheticDataset(
+        ground_truths=GroundTruthColumns(
+            image_id=gt_images,
+            boxes=np.frombuffer(gt_boxes).reshape(-1, 4),
+            class_id=np.frombuffer(gt_classes, dtype=np.int64),
+            ignore=np.frombuffer(gt_ignore, dtype=bool),
+        ),
+        detections=detections,
+        tags=tags,
+        num_classes=spec.num_classes,
+    )
+
+
+NOISE = st.just(0.0) | st.floats(0.01, 80.0)  # large enough for the _MIN_EXTENT clamp
+PROFILES = st.builds(
+    ModalityProfile,
+    recall=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    fp_rate=st.just(0.0) | st.floats(0.0, 3.0),
+    tp_concentration=st.floats(-5.0, 5.0),
+    fp_concentration=st.floats(-5.0, 5.0),
+    loc_noise=NOISE,
+    variance_noise=st.just(0.0) | st.floats(0.01, 2.0),
+)
+
+
+@st.composite
+def scenario_specs(draw):
+    # inserted unsorted, so that the modalities' sorted draw order shows
+    names = ["rgb", "thermal", "aux1", "aux2"][: draw(st.integers(1, 4))]
+    return ScenarioSpec(
+        seed=draw(st.integers(0, 2**32)),
+        image_count=draw(st.integers(1, 30)),
+        num_classes=draw(st.integers(1, 4)),
+        # boxes wider than the image take max(width - w, 1.0)
+        image_size=draw(st.sampled_from([(30, 40), (100.5, 60.0), (640, 480)])),
+        objects_per_image=draw(st.just(0.0) | st.floats(0.0, 6.0)),
+        night_fraction=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        ignore_fraction=draw(st.floats(0.0, 1.0)),
+        profiles={name: {"day": draw(PROFILES), "night": draw(PROFILES)} for name in names},
+    )
+
+
+def bit_columns(dataset):
+    """Every column of a dataset, each float as its float64 bit pattern."""
+
+    def bits(values):
+        return np.ascontiguousarray(values, dtype=np.float64).view(np.int64).tolist()
+
+    gts = dataset.ground_truths
+    return (
+        (gts.image_id, bits(gts.boxes), gts.class_id.tolist(), gts.ignore.tolist()),
+        (gts.boxes.shape, gts.class_id.dtype, gts.ignore.dtype),
+        [
+            (m, d.image_id, d.modality, bits(d.boxes), bits(d.scores.logits),
+             bits(d.variances), d.det_id.tolist(), d.scores.logits.shape)
+            for m, d in dataset.detections.items()
+        ],
+        dataset.tags,
+        dataset.num_classes,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_specs())
+def test_batched_draws_equal_one_call_per_draw(spec):
+    assert bit_columns(generate(spec)) == bit_columns(reference_generate(spec))
+
+
+def test_numpy_facts_the_batched_draws_rest_on():
+    """What ``generate`` relies on to batch its draws and stack their
+    arithmetic; a numpy release that breaks one names the fact here."""
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+    one, batched = np.random.default_rng(11), np.random.default_rng(11)
+    width = 100.0
+    drawn = [
+        (w, h, one.uniform(0.0, max(width - w, 1.0)), one.uniform(0.0, max(60.0 - h, 1.0)))
+        for w, h in ((one.uniform(25.0, 70.0), one.uniform(55.0, 140.0)) for _ in range(500))
+    ]
+    u = np.array([batched.random(4) for _ in range(500)])
+    w = 25.0 + (70.0 - 25.0) * u[:, 0]
+    h = 55.0 + (140.0 - 55.0) * u[:, 1]
+    x = 0.0 + (np.maximum(width - w, 1.0) - 0.0) * u[:, 2]
+    y = 0.0 + (np.maximum(60.0 - h, 1.0) - 0.0) * u[:, 3]
+    assert bits(drawn) == bits(np.column_stack([w, h, x, y])), (
+        "four rng.uniform(lo, hi) calls equal lo + (hi - lo) * rng.random(4), bit for bit"
+    )
+
+    # 500 rounds reach the ziggurat's rarer branches, which draw more
+    one, batched = np.random.default_rng(12), np.random.default_rng(12)
+    parts = [(4.0, 4), (1.0, 3), (0.4, None)]  # box noise, logits, variance noise
+    drawn = [np.hstack([one.normal(0.0, s, size=n) for s, n in parts]) for _ in range(500)]
+    z = np.array([batched.standard_normal(8) for _ in range(500)])
+    mapped = np.hstack([0.0 + 4.0 * z[:, :4], 0.0 + 1.0 * z[:, 4:7], 0.0 + 0.4 * z[:, 7:]])
+    assert bits(drawn) == bits(mapped), (
+        "consecutive rng.normal(loc, scale, size) calls equal one rng.standard_normal "
+        "call mapped through loc + scale * z"
+    )
+
+    rng = np.random.default_rng(13)
+    rng.integers(1, 3)  # leaves half of a 64-bit draw buffered for the next integer
+    before = rng.bit_generator.state
+    rng.integers(1, 2)
+    assert rng.bit_generator.state == before, "rng.integers(1, 2) leaves the stream where it was"
+
+    column = 0.0 + 0.4 * np.random.default_rng(14).standard_normal(1000)
+    for n in (1, 2, 3, 7, 8, 9, 16, 17, 1000):
+        assert bits(np.exp(column[:n].copy())) == bits([np.exp(v) for v in column[:n].tolist()]), (
+            "np.exp over a stacked column equals np.exp of each value"
+        )
 
 
 def synth_digests(out_dir, *argv):
