@@ -16,6 +16,7 @@ to a single cluster of detections.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,11 @@ from .errors import (
     EmptyClusterError,
     MissingVarianceError,
 )
-from .geometry import BBox, convex_combination
+from .geometry import BBox, first_invalid_box
+
+# convex_combination is not called here; perfbench/tracing.py wraps it
+# under this name.
+from .geometry import convex_combination  # noqa: F401
 
 BOX_FUSION_MODES = ("argmax", "avg", "s-avg", "v-avg")
 
@@ -61,28 +66,31 @@ def weighted_average(boxes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     boxes (n, m, 4) and weights (n, m); returns the (n, 4) fused boxes. The
     sums of one or two terms are plain float additions, which round exactly
     as ``math.fsum`` does (the leading 0.0 turns a -0.0 sum into 0.0, as
-    fsum does). Numpy has no correctly rounded sum of more terms, so larger
-    clusters go through ``convex_combination`` one by one.
+    fsum does). Numpy has no correctly rounded sum of more terms, so for
+    larger clusters ``math.fsum`` adds up each row of weights and of
+    weighted coordinates, turned to a list.
     """
     n, m = weights.shape
+    if np.any(weights < 0):
+        raise DegenerateWeightsError("weights must be nonnegative")
     peak = weights.max(axis=1)
     if np.any(peak <= 0):
         raise DegenerateWeightsError("weights sum to zero")
-    if m > 2:
-        fused = [
-            convex_combination([BBox(*box) for box in cluster], w).as_list()
-            for cluster, w in zip(boxes.tolist(), weights.tolist())
-        ]
-        return np.array(fused, dtype=float).reshape(n, 4)
     weights = weights / peak[:, None]
     terms = boxes * weights[:, :, None]
-    total, coords = 0.0 + weights[:, 0], 0.0 + terms[:, 0]
-    if m == 2:
-        total, coords = total + weights[:, 1], coords + terms[:, 1]
+    if m > 2:
+        # five sums a cluster: its weights, then its terms of x, y, w and h
+        rows = np.concatenate((weights[:, None, :], terms.transpose(0, 2, 1)), axis=1)
+        sums = np.array(list(map(math.fsum, rows.reshape(-1, m).tolist()))).reshape(n, 5)
+        total, coords = sums[:, 0], sums[:, 1:]
+    else:
+        total, coords = 0.0 + weights[:, 0], 0.0 + terms[:, 0]
+        if m == 2:
+            total, coords = total + weights[:, 1], coords + terms[:, 1]
     fused = coords / total[:, None]
-    bad = ~np.isfinite(fused).all(axis=1)
-    if bad.any():
-        BBox(*fused[np.argmax(bad)].tolist())  # raises BBox's error for the first bad box
+    bad = first_invalid_box(fused)
+    if bad >= 0:
+        BBox(*fused[bad].tolist())  # raises BBox's error for the first bad box
     return fused
 
 

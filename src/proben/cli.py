@@ -134,10 +134,10 @@ def cmd_eval(args) -> int:
     check_iou_threshold(args.iou_threshold)
     gts, tags, num_classes, class_names, gt_images = read_ground_truth(args.ground_truth)
     dets = read_detections(args.detections, num_classes=num_classes)
-    orphan = sorted(set(dets.image_id) - set(gt_images))
+    orphan = len(set(dets.image_id).difference(gt_images))
     if orphan:
         print(
-            f"warning: {len(orphan)} image(s) carry detections but no ground-truth record",
+            f"warning: {orphan} image(s) carry detections but no ground-truth record",
             file=sys.stderr,
         )
 

@@ -7,8 +7,9 @@ Detection records carry exactly one of ``logits``, ``posteriors`` or
 orjson decodes the lines, and ``json`` the few that orjson reads otherwise,
 so every record is what ``json.loads`` gives. Floats are written with their
 shortest round-trip digits, as ``json.dumps`` (``repr`` in CSV files) spells
-them, one orjson call per column (``_spelled``), so a write/parse cycle
-reproduces every numeric field exactly. Scores are held and written as
+them, by orjson a block of rows at a time (``_spelled``,
+``write_curves_csv``), so a write/parse cycle reproduces every numeric field
+exactly. Scores are held and written as
 logits (a ``posteriors`` or ``score`` record as the log of its clamped
 posteriors), so the cycle also reproduces every ranking score.
 """
@@ -344,20 +345,26 @@ def _blocks(count: int):
     return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
 
 
-def _spelled(column, respell) -> list:
-    """The text of each value of a float column, from one orjson call.
+def _odd(values: np.ndarray) -> np.ndarray:
+    """Where orjson spells a float otherwise than ``repr`` and ``json.dumps``.
 
-    orjson spells a float with its shortest round-trip digits, as ``repr``
-    and ``json.dumps`` do, except where it writes ``null`` (NaN, infinities),
-    ``0.00001`` (for ``1e-05``: nonzero below 1e-4 in magnitude) or ``1e16``
-    (for ``1e+16``: 1e16 and above); those values are spelled by respell.
+    orjson spells a float with its shortest round-trip digits, as they do,
+    except where it writes ``null`` (NaN, infinities), ``0.00001`` (for
+    ``1e-05``: nonzero below 1e-4 in magnitude) or ``1e16`` (for ``1e+16``:
+    1e16 and above).
     """
+    size = np.abs(values)
+    return ~(size < 1e16) | ((size < 1e-4) & (size > 0.0))
+
+
+def _spelled(column, respell) -> list:
+    """The text of each value of a float column, from one orjson call; the
+    values orjson spells otherwise (``_odd``) are spelled by respell."""
     column = np.ascontiguousarray(column, dtype=np.float64)
     if not len(column):
         return []
     texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    size = np.abs(column)
-    for i in np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size > 0.0))).tolist():
+    for i in np.flatnonzero(_odd(column)).tolist():
         texts[i] = respell(column[i].item())
     return texts
 
@@ -538,15 +545,23 @@ def write_ground_truth(
 
 def write_curves_csv(path, header: Sequence[str], *columns) -> None:
     """A CSV of equal-length float columns under header, each value spelled
-    as ``repr`` spells it, a block of rows and a column at a time by one
-    orjson call (``_spelled``)."""
-    columns = [np.asarray(column, dtype=np.float64) for column in columns]
-    template = ",".join(["%s"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for rows in _blocks(len(columns[0])):
-            texts = [_spelled(column[rows], repr) for column in columns]
-            fh.writelines(map(template.__mod__, zip(*texts)))
+    as ``repr`` spells it.
+
+    The columns are stacked into one (n, k) block, and each block of rows
+    is spelled by one orjson call, ``[[a,b],[c,d],...]``, split into rows
+    on ``],[``. A row holding a value that orjson spells otherwise
+    (``_odd``) is respelled with ``repr``.
+    """
+    table = np.column_stack([np.asarray(column, dtype=np.float64) for column in columns])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for rows in _blocks(len(table)):
+            block = table[rows]
+            lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            for i in np.flatnonzero(_odd(block).any(axis=1)).tolist():
+                lines[i] = ",".join(map(repr, block[i].tolist())).encode()
+            lines.append(b"")
+            fh.write(b"\n".join(lines))
 
 
 def write_json(path, payload):

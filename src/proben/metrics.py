@@ -22,28 +22,28 @@ from .geometry import box_iou
 # iou is not called here; perfbench/tracing.py wraps it under this name.
 from .geometry import iou  # noqa: F401
 
-TP = "TP"
-FP = "FP"
-IGNORED = "IGNORED"
+# the codes of MatchResult.label
+TP = 0
+FP = 1
+IGNORED = 2
 
 REFERENCE_FPPI = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
 MISS_RATE_FLOOR = 1e-10
-
-
-LABELS = np.array([TP, FP, IGNORED])
 
 
 @dataclass
 class MatchResult:
     """Pooled match labels as columns, one row per matched detection, sorted
     by score descending (ties: lower class id, lower det_id, earlier image,
-    then input order), plus GT counts."""
+    then input order), plus GT counts. image holds each row's index into
+    image_ids, the matched image list."""
 
     score: np.ndarray
     class_id: np.ndarray
     label: np.ndarray  # TP, FP or IGNORED
     det_id: np.ndarray
-    image_id: np.ndarray
+    image: np.ndarray
+    image_ids: np.ndarray
     num_gt: Dict[int, int]
     num_images: int
 
@@ -54,15 +54,18 @@ class MatchResult:
             self.class_id[keep],
             self.label[keep],
             self.det_id[keep],
-            self.image_id[keep],
+            self.image[keep],
+            self.image_ids,
             num_gt,
             num_images,
         )
 
     def merge(self, other: "MatchResult") -> None:
         """Add other's rows and counts in place; the caller re-sorts."""
-        for name in ("score", "class_id", "label", "det_id", "image_id"):
+        for name in ("score", "class_id", "label", "det_id"):
             setattr(self, name, np.concatenate((getattr(self, name), getattr(other, name))))
+        self.image = np.concatenate((self.image, other.image + len(self.image_ids)))
+        self.image_ids = np.concatenate((self.image_ids, other.image_ids))
         for cls, n in other.num_gt.items():
             self.num_gt[cls] = self.num_gt.get(cls, 0) + n
         self.num_images += other.num_images
@@ -130,8 +133,8 @@ def match_columns(
     hit = value > iou_threshold
     pair_det, pair_gt, value = pair_det[hit], pair_gt[hit], value[hit]
 
-    label = np.full(len(order), 1)  # FP
-    label[pair_det[truth.ignore[pair_gt]]] = 2  # IGNORED
+    label = np.full(len(order), FP)
+    label[pair_det[truth.ignore[pair_gt]]] = IGNORED
     claims = ~truth.ignore[pair_gt] & (truth.class_id[pair_gt] == class_id[order][pair_det])
     pair_det, pair_gt, value = pair_det[claims], pair_gt[claims], value[claims]
     ranked = np.lexsort((pair_gt, -value, pair_det))
@@ -140,14 +143,15 @@ def match_columns(
     for k, g in zip(pair_det[ranked].tolist(), pair_gt[ranked].tolist()):
         if k != last and g not in matched:
             matched.add(g)
-            label[k] = 0  # TP
+            label[k] = TP
             last = k
     return MatchResult(
         score=score[order],
         class_id=class_id[order],
-        label=LABELS[label],
+        label=label,
         det_id=det_id[order],
-        image_id=truth.image_ids[image],
+        image=image,
+        image_ids=truth.image_ids,
         num_gt=dict(truth.num_gt),
         num_images=len(truth.image_ids),
     )
@@ -279,8 +283,8 @@ class SubsetReport:
     lamr: Optional[float]
     tp: int
     fp: int
-    pr_curves: Dict[int, Tuple[List[float], List[float]]]
-    miss_curve: Tuple[List[float], List[float]]
+    pr_curves: Dict[int, Tuple[np.ndarray, np.ndarray]]  # recall, precision
+    miss_curve: Tuple[np.ndarray, np.ndarray]  # fppi, miss rate
 
     def to_dict(self) -> dict:
         return {
@@ -340,17 +344,16 @@ def _subset_report(result: MatchResult, num_classes: int) -> SubsetReport:
     for cls in range(1, num_classes + 1):
         recall, precision, npos = _pr_points(result, cls)
         ap[cls] = _ap_from_points(recall, precision) if npos > 0 else None
-        pr_curves[cls] = (recall.tolist(), precision.tolist())
+        pr_curves[cls] = (recall, precision)
     defined = [v for v in ap.values() if v is not None]
     mean_ap = float(np.mean(defined)) if defined else None
 
     if sum(result.num_gt.values()) > 0:
-        fppi, miss = _miss_fppi_curve(result, result.num_images)
-        lamr_value = _lamr_from_curve(fppi, miss)
-        miss_curve = (fppi.tolist(), miss.tolist())
+        miss_curve = _miss_fppi_curve(result, result.num_images)
+        lamr_value = _lamr_from_curve(*miss_curve)
     else:
         lamr_value = None
-        miss_curve = ([], [])
+        miss_curve = (np.array([]), np.array([]))
     return SubsetReport(
         num_images=result.num_images,
         num_gt=result.num_gt,
@@ -387,19 +390,23 @@ def breakdown(
         candidates = np.concatenate((gts.class_id, dets.scores.argmax_foreground()))
         num_classes = int(candidates.max()) if len(candidates) else 1
 
-    all_ids = sorted(set(dets.image_id) | set(gts.image_id) | set(tags) | set(image_ids))
-    result = match_all(dets, gts, iou_threshold, image_ids=all_ids)
+    universe = set(dets.image_id)
+    universe.update(gts.image_id, tags, image_ids)
+    result = match_all(dets, gts, iou_threshold, image_ids=sorted(universe))
     subsets = {"all": _subset_report(result, num_classes)}
-    row_tags = np.array([tags.get(image_id) for image_id in result.image_id], dtype=object)
-    gt_tags = np.array([tags.get(image_id) for image_id in gts.image_id], dtype=object)
-    for tag in sorted(set(tags.values())):
-        classes, counts = np.unique(
-            gts.class_id[~gts.ignore & (gt_tags == tag)], return_counts=True
-        )
+    names = sorted(set(tags.values()))
+    code = {tag: k for k, tag in enumerate(names)}
+    tag_of = {image_id: code[tag] for image_id, tag in tags.items()}
+    # -1: untagged
+    image_tag = np.array([tag_of.get(i, -1) for i in result.image_ids], dtype=np.int64)
+    gt_tag = np.array([tag_of.get(i, -1) for i in gts.image_id], dtype=np.int64)
+    row_tag = image_tag[result.image]
+    for k, tag in enumerate(names):
+        classes, counts = np.unique(gts.class_id[~gts.ignore & (gt_tag == k)], return_counts=True)
         subset = result.rows(
-            row_tags == tag,
+            row_tag == k,
             dict(zip(classes.tolist(), counts.tolist())),
-            sum(1 for t in tags.values() if t == tag),
+            int(np.count_nonzero(image_tag == k)),
         )
         subsets[tag] = _subset_report(subset, num_classes)
     return EvalReport(subsets=subsets, num_classes=num_classes, class_names=class_names)

@@ -218,3 +218,85 @@ class TestWeightedAverage:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(DegenerateWeightsError):
             weighted_average(np.zeros((2, 2, 4)) + 1.0, np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+
+HALF = 2.0**-53  # half an ulp of 1.0
+# signed zeros, half-ulp ties and mixed magnitudes
+LARGE_COORDINATE = st.floats(-1e12, 1e12) | st.sampled_from(
+    [0.0, -0.0, 1.0, 1.0 + 2 * HALF, HALF, -HALF, HALF**2, 3.0, 1e16, -1e16, 5e-324]
+)
+LARGE_EXTENT = st.floats(1e-300, 1e12) | st.sampled_from([5e-324, 1.0, HALF, 1.0 + 2 * HALF, 3.0])
+# subnormal weights, zeros and mixed magnitudes
+LARGE_WEIGHT = st.floats(0.0, 1e300) | st.sampled_from(
+    [0.0, 5e-324, 1e-310, 2.225073858507201e-308, HALF, 0.49, 0.5, 1.0, 3.0]
+)
+
+
+@st.composite
+def large_clusters(draw):
+    """(n, m, 4) boxes and (n, m) weights of n clusters of m >= 3 members,
+    each cluster with a positive weight."""
+    m, n = draw(st.integers(3, 6)), draw(st.integers(1, 5))
+    box = st.tuples(LARGE_COORDINATE, LARGE_COORDINATE, LARGE_EXTENT, LARGE_EXTENT)
+    boxes = draw(st.lists(st.lists(box, min_size=m, max_size=m), min_size=n, max_size=n))
+    weights = draw(
+        st.lists(
+            st.lists(LARGE_WEIGHT, min_size=m, max_size=m).filter(lambda w: max(w) > 0),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return np.array(boxes, dtype=float), np.array(weights, dtype=float)
+
+
+def clusters_of(*columns):
+    """One cluster of equal weights whose members' boxes hold the given x values."""
+    boxes = np.array([[[x, 0.0, 1.0, 1.0] for x in columns]])
+    return boxes, np.ones((1, len(columns)))
+
+
+class TestLargeClusters:
+    """weighted_average on clusters of three or more members equals
+    convex_combination bit for bit, or raises BBox's error for the first
+    fused box that BBox rejects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clusters=large_clusters())
+    @example(clusters=clusters_of(-0.0, -0.0, -0.0))  # fsum turns -0.0 into 0.0
+    @example(clusters=clusters_of(HALF, 1.0, HALF))  # a float sum loses both halves
+    @example(clusters=clusters_of(1.0, HALF, 0.0))  # a tie, rounded to even: 1.0
+    @example(clusters=clusters_of(1.0 + 2 * HALF, HALF, 0.0))  # a tie rounded up
+    @example(clusters=clusters_of(1.0, HALF, HALF**2))  # just above a tie
+    @example(clusters=clusters_of(1e16, 1.0, -1e16, 7.0))
+    @example(  # the fused width of a subnormal box rounds to 0: BBox rejects it
+        clusters=(
+            np.array([[[0.0, 0.0, 5e-324, 1.0]] * 4]),
+            np.array([[1.0, 0.49, 0.49, 0.49]]),
+        )
+    )
+    @example(  # subnormal weights only
+        clusters=(
+            np.array([[[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], [0.5, 0.5, 0.5, 0.5]]]),
+            np.array([[5e-324, 1e-310, 2.225073858507201e-308]]),
+        )
+    )
+    def test_equals_convex_combination(self, clusters):
+        boxes, weights = clusters
+        want, error = [], None
+        for cluster, w in zip(boxes.tolist(), weights.tolist()):
+            try:
+                want.append(convex_combination([BBox(*b) for b in cluster], w).as_list())
+            except ValueError as exc:
+                error = str(exc)
+                break
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                weighted_average(boxes, weights)
+            assert str(raised.value) == error
+        else:
+            got = weighted_average(boxes, weights)
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(DegenerateWeightsError, match="nonnegative"):
+            weighted_average(np.ones((1, 3, 4)), np.array([[1.0, -0.5, 1.0]]))

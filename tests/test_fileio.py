@@ -1373,6 +1373,14 @@ class TestBlockEdges:
         rows = "".join(map("{!r},{!r}\n".format, first.tolist(), second.tolist()))
         assert path.read_text(encoding="utf-8") == "x,y\n" + rows
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_curves_of_other_widths(self, tmp_path, width):
+        columns = [self.column(4 * k + 1) for k in range(width)]
+        header = [f"c{k}" for k in range(width)]
+        path = tmp_path / "curve.csv"
+        write_curves_csv(path, header, *columns)
+        assert path.read_text(encoding="utf-8") == repr_csv(header, columns)
+
     def test_detections(self, tmp_path):
         count = 2 * _BLOCK + 3
         boxes = np.abs(np.stack([self.column(k) for k in range(4)], axis=1))
@@ -1412,3 +1420,62 @@ class TestBlockEdges:
         path = tmp_path / "gt.jsonl"
         write_ground_truth(path, gts, tags, 1)
         assert path.read_text(encoding="utf-8") == dumps_ground_truth(objects, tags, 1)
+
+
+
+def repr_csv(header, columns):
+    """The CSV text of columns with each value spelled by ``repr``."""
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+class TestCurvesWriterBlocks:
+    """``write_curves_csv`` against a ``repr``-per-value oracle, on files of
+    one to three columns whose blocks mix rows that orjson spells as
+    ``repr`` does with rows it spells otherwise."""
+
+    ODD = [-0.0, 1e-7, -1e-7, 1e16, -1e16, math.nan, math.inf, -math.inf,
+           5e-324, -2.225073858507201e-308, 9.999999999999999e-05, 1e22]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_empty_curve_is_the_header(self, tmp_path, width):
+        header = [f"c{k}" for k in range(width)]
+        path = tmp_path / "curve.csv"
+        write_curves_csv(path, header, *([np.empty(0)] * width))
+        assert path.read_bytes() == (",".join(header) + "\n").encode()
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_clean_and_odd_rows_mixed(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        count = 3 * _BLOCK + 17
+        columns = [rng.uniform(-5.0, 5.0, count) for _ in range(width)]
+        for column in columns:
+            rows = rng.choice(count, 60, replace=False)  # odd rows in every block
+            column[rows] = rng.choice(self.ODD, len(rows))
+        header = [f"c{k}" for k in range(width)]
+        path = tmp_path / "curve.csv"
+        write_curves_csv(path, header, *columns)
+        assert path.read_text(encoding="utf-8") == repr_csv(header, columns)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("side", [-1, 0])
+    def test_one_odd_row_at_each_block_edge(self, tmp_path, width, side):
+        """One odd row, the last of a block (side -1) or the first of the
+        next (side 0); every other row is clean."""
+        count = 2 * _BLOCK + 1
+        header = [f"c{k}" for k in range(width)]
+        for odd in self.ODD:
+            columns = [np.linspace(0.25, 0.75, count) + k for k in range(width)]
+            for edge in (_BLOCK, 2 * _BLOCK):
+                columns[-1][edge + side] = odd
+            path = tmp_path / "curve.csv"
+            write_curves_csv(path, header, *columns)
+            assert path.read_text(encoding="utf-8") == repr_csv(header, columns), odd
+
+    def test_curves_shorter_and_longer_than_a_block(self, tmp_path):
+        for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+            columns = [np.full(count, 1e16), np.full(count, 0.5)]
+            columns[0][::2] = 0.125
+            path = tmp_path / "curve.csv"
+            write_curves_csv(path, ("x", "y"), *columns)
+            assert path.read_text(encoding="utf-8") == repr_csv(("x", "y"), columns), count

@@ -435,6 +435,11 @@ class TestBreakdownMatchesOnce:
             ids = all_ids if key == "all" else [i for i in all_ids if tags.get(i) == key]
             want = subset_reference(dets, gts, ids, 3)
             got = {name: getattr(subset, name) for name in want}
+            got["pr_curves"] = {
+                c: (recall.tolist(), precision.tolist())
+                for c, (recall, precision) in subset.pr_curves.items()
+            }
+            got["miss_curve"] = tuple(curve.tolist() for curve in subset.miss_curve)
             assert got == want, key
 
     def test_match_all_called_once(self, monkeypatch):
@@ -450,7 +455,8 @@ class TestBreakdownMatchesOnce:
 
 def pooled_rows(result):
     """(score, class id, label, det id, image id) of each row of result."""
-    columns = (result.score, result.class_id, result.label, result.det_id, result.image_id)
+    image_id = result.image_ids[result.image]
+    columns = (result.score, result.class_id, result.label, result.det_id, image_id)
     return list(zip(*(column.tolist() for column in columns)))
 
 
@@ -556,3 +562,32 @@ class TestColumnMatcher:
         got = pooled_rows(one)
         assert got == rows
         assert (one.num_gt, one.num_images) == (num_gt, 1)
+
+
+    def test_labels_are_integer_codes(self):
+        dets = [
+            three_class_det("a", B, 1, 0.7, 0),
+            three_class_det("a", BBox(1, 0, 10, 20), 1, 0.7, 1),  # tied score
+            three_class_det("b", B_FAR, 2, 0.6, 2),  # on an ignored ground truth
+            three_class_det("b", B, 2, 0.6, 3),  # tied again; no ground truth here
+        ]
+        gts = [gt("a", B), gt("b", B_FAR, class_id=2, ignore=True)]
+        result = match_all(dets, gts, 0.5, image_ids=IMAGES)
+        assert result.label.dtype.kind == "i"
+        codes = dict(zip(["TP", "FP", "IGNORED"], [TP, FP, IGNORED]))
+        assert result.label.tolist() == [codes[s] for s in ["TP", "FP", "IGNORED", "FP"]]
+
+    def test_merge_offsets_image_indices(self):
+        dets = [
+            three_class_det("a", B, 1, 0.7, 0),
+            three_class_det("b", B, 1, 0.6, 1),
+            three_class_det("c", B_FAR, 2, 0.5, 2),
+        ]
+        gts = [gt("a", B), gt("c", B, class_id=2)]
+        first = match_all(dets, gts, 0.5, image_ids=["a", "b"])
+        second = match_all(dets, gts, 0.5, image_ids=["c"])
+        want = pooled_rows(first) + pooled_rows(second)
+        first.merge(second)
+        assert pooled_rows(first) == want
+        assert first.image_ids[first.image].tolist() == ["a", "b", "c"]
+        assert (first.num_gt, first.num_images) == ({1: 1, 2: 1}, 3)

@@ -46,10 +46,13 @@ NEVER_ENTERED = {
     "fileio._extend_slowly": RARE_INPUT,  # a bbox or score entry that is not a number
     "fileio._undecodable": ERROR_PATH,
     "fileio._json_record": RARE_INPUT,  # NaN, long integers, long lines, bad JSON
+    "geometry.BBox.__post_init__": OBJECT_VIEW,  # and the error of a bad box
+    "geometry.BBox.as_list": OBJECT_VIEW,
     "geometry.BBox.x2": OBJECT_VIEW,
     "geometry.BBox.y2": OBJECT_VIEW,
     "geometry.BBox.area": OBJECT_VIEW,
     "geometry.iou": WRAPPED,  # and the oracle of box_iou
+    "geometry.convex_combination": WRAPPED,  # and the oracle of weighted_average
     "geometry.box_array": OBJECT_VIEW,
     "metrics.MatchResult.merge": WRAPPED,
     "metrics.match": WRAPPED,

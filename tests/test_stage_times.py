@@ -23,7 +23,9 @@ STAGES = [
     "write fused.jsonl",
     "read fused.jsonl",
     "breakdown",
-    "curve CSVs",
+    "PR curve CSVs",
+    "miss/FPPI curve CSVs",
+    "eval",
     "grid_search point",
 ]
 

@@ -8,8 +8,9 @@ through the same calls the commands make: ``generate`` and ``synth``'s
 writes, the JSONL reads, ``DetectionBatch``, ``fuse_columns`` and the output
 step of ``fuse_detections`` (as ``fuse`` does, with ``--score-fusion proben
 --box-fusion v-avg``), the fused file's write and read, ``breakdown`` and the
-curve CSVs (as ``eval --breakdown --curves`` does) and ``grid_search`` over
-the one grid point (T=1, b=0). ``synth`` is also timed whole, through
+precision/recall and miss-rate/FPPI curve CSVs (as ``eval --breakdown
+--curves`` does) and ``grid_search`` over the one grid point (T=1, b=0).
+``synth`` and ``eval --breakdown --curves`` are also timed whole, through
 ``proben.cli.main``.
 
 Standard output is one JSON object: the seed, image count and repeat count,
@@ -45,13 +46,18 @@ from proben.synth import generate, kaist_like_spec  # noqa: E402
 CONFIG = FusionConfig(score_fusion="proben", box_fusion="v-avg")
 
 
-def write_curves(report, prefix):
-    """The curve CSVs of ``eval --curves``."""
+def write_pr_curves(report, prefix):
+    """The precision/recall CSVs of ``eval --curves``."""
     for key, subset in report.subsets.items():
-        write_curves_csv(f"{prefix}.{key}.miss_fppi.csv", ("fppi", "miss_rate"), *subset.miss_curve)
         for cls, (recall, precision) in subset.pr_curves.items():
             write_curves_csv(f"{prefix}.{key}.class{cls}.pr.csv", ("recall", "precision"),
                              recall, precision)
+
+
+def write_miss_curves(report, prefix):
+    """The miss-rate/FPPI CSVs of ``eval --curves``."""
+    for key, subset in report.subsets.items():
+        write_curves_csv(f"{prefix}.{key}.miss_fppi.csv", ("fppi", "miss_rate"), *subset.miss_curve)
 
 
 def stage_times(seed: int, images: int, repeat: int, workdir: str) -> dict:
@@ -103,7 +109,11 @@ def stage_times(seed: int, images: int, repeat: int, workdir: str) -> dict:
                  num_classes=num_classes)
     report = timed("breakdown", breakdown, dets, gts, tags, num_classes=num_classes,
                    class_names=class_names, image_ids=gt_images)
-    timed("curve CSVs", write_curves, report, path("eval"))
+    timed("PR curve CSVs", write_pr_curves, report, path("eval"))
+    timed("miss/FPPI curve CSVs", write_miss_curves, report, path("eval"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        timed("eval", cli.main, ["eval", path("fused.jsonl"), path("gt.jsonl"), "--breakdown",
+                                 "--curves", "--out-prefix", path("eval")])
     image_ids = sorted(set(gt_images).union(*(d.image_id for d in sets)))
     timed("grid_search point", grid_search, sets, gts, "rgb", GridSpec(1.0, 1.0, 1),
           GridSpec(0.0, 0.0, 1), config=CONFIG, num_classes=num_classes, image_ids=image_ids)
