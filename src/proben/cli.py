@@ -104,9 +104,12 @@ def _read_detection_sets(args, num_classes: Optional[int] = None) -> List[Detect
 
 
 def _build_config(args, gts, num_classes) -> FusionConfig:
+    """The fusion flags of args, checked. Pooling reads none of them, but a
+    bad one fails as in every mode: its config takes the default score fusion."""
+    pooling = args.score_fusion == "pooling"
     return FusionConfig(
         iou_threshold=args.iou_threshold,
-        score_fusion=args.score_fusion,
+        score_fusion=FusionConfig.score_fusion if pooling else args.score_fusion,
         box_fusion=args.box_fusion,
         prior=_parse_prior(args.prior, gts, num_classes),
         calibration=_parse_calibration(args),
@@ -119,10 +122,10 @@ def cmd_fuse(args) -> int:
         gts, _, num_classes, _, _ = read_ground_truth(args.ground_truth)
     detection_sets = _read_detection_sets(args, num_classes)
 
+    config = _build_config(args, gts, num_classes)
     if args.score_fusion == "pooling":
         fused = pool(detection_sets)
     else:
-        config = _build_config(args, gts, num_classes)
         fused = fuse_detections(DetectionBatch(detection_sets), config)
     write_detections(args.out, fused)
     images = len(set(fused.image_id))

@@ -72,12 +72,6 @@ def logits_from_posteriors(posteriors) -> np.ndarray:
     return np.log(p)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class ClassScores:
     """(K+1)-way logit vectors along the last axis.
@@ -93,9 +87,12 @@ class ClassScores:
 
     logits: np.ndarray
 
+    def __post_init__(self):
+        self.logits.flags.writeable = False  # so what is derived from it cannot go stale
+
     @classmethod
     def from_logits(cls, logits) -> "ClassScores":
-        return cls(logits=_freeze(_finite(logits)))
+        return cls(logits=_finite(np.array(logits, dtype=float)))
 
     @classmethod
     def from_posteriors(cls, posteriors) -> "ClassScores":
@@ -108,13 +105,13 @@ class ClassScores:
         off = np.abs(total - 1.0) > 1e-6
         if np.any(off):
             raise InvalidScoreError(f"posteriors must sum to 1, got {total[off][0]}")
-        return cls(logits=_freeze(logits_from_posteriors(np.clip(p, 0.0, 1.0) / total)))
+        return cls(logits=logits_from_posteriors(np.clip(p, 0.0, 1.0) / total))
 
     @classmethod
     def stack(cls, rows: Sequence["ClassScores"]) -> "ClassScores":
         """A stack holding the given score vectors as its rows; with none, an
         empty stack of one-class rows."""
-        return cls(logits=_freeze([r.logits for r in rows] or np.zeros((0, 2))))
+        return cls(logits=np.array([r.logits for r in rows] or np.zeros((0, 2)), dtype=float))
 
     def __eq__(self, other):
         if not isinstance(other, ClassScores):
@@ -337,7 +334,8 @@ class ClassPrior:
     priors: np.ndarray
 
     def __post_init__(self):
-        p = _freeze(self.priors)
+        p = np.array(self.priors, dtype=float)
+        p.flags.writeable = False
         if np.any(p <= 0):
             raise ValueError("class priors must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-9:

@@ -198,7 +198,6 @@ def _calibrated(batch: DetectionBatch, calibration: Mapping[str, CalibrationPara
         rows = batch.rows.get(modality)
         if rows is not None:
             logits[rows] = calibrate_scores(batch.scores.take(rows), params).logits
-    logits.flags.writeable = False
     return ClassScores(logits=logits)
 
 

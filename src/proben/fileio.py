@@ -2,21 +2,24 @@
 
 Detection records carry exactly one of ``logits``, ``posteriors`` or
 ``score`` (with ``class_id``). Ground-truth files open with a header record
-``{"meta": {"num_classes": K, "class_names": [...]}}``; records without a
-``bbox`` declare an image (and optionally its day/night tag) with no object.
-orjson decodes the lines, and ``json`` the few that orjson reads otherwise,
-so every record is what ``json.loads`` gives. Floats are written with their
-shortest round-trip digits, as ``json.dumps`` (``repr`` in CSV files) spells
-them, by orjson a block of rows at a time (``_spelled``,
-``write_curves_csv``), so a write/parse cycle reproduces every numeric field
-exactly. Scores are held and written as
-logits (a ``posteriors`` or ``score`` record as the log of its clamped
-posteriors), so the cycle also reproduces every ranking score.
+``{"meta": {"num_classes": K, "class_names": [...]}}``, their only one;
+records without a ``bbox`` declare an image (and optionally its day/night
+tag) with no object. Class ids and counts must fit int64.
+
+A file is read once, as UTF-8 text in which a byte that is not UTF-8 stands
+as a lone surrogate; the first line holding one is a ParseError naming the
+byte (``_check_utf8``). orjson decodes the lines, and ``json`` the few that
+orjson reads otherwise, so every record is what ``json.loads`` gives.
+Floats are written with their shortest round-trip digits, as ``json.dumps``
+(``repr`` in CSV files) spells them, by orjson a block of rows at a time
+(``_spelled``, ``write_curves_csv``), so a write/parse cycle reproduces
+every numeric field exactly. Scores are held and written as logits (a
+``posteriors`` or ``score`` record as the log of its clamped posteriors), so
+the cycle also reproduces every ranking score.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import warnings
@@ -39,6 +42,7 @@ from .geometry import BBox, first_invalid_box
 
 _SCORE_KINDS = ("logits", "posteriors", "score")
 _INF, _NAN = math.inf, math.nan
+_INT64_MAX = (1 << 63) - 1  # class ids are held as int64
 
 
 def _build_scores(kind: str, rows) -> ClassScores:
@@ -105,45 +109,42 @@ def _raise_first_invalid(path, box_values: array, box_lines: array, pending=None
 
 
 def open_input(path):
-    """path opened for reading as UTF-8 text; a ParseError naming it if it
-    cannot be opened."""
+    """path opened for reading as UTF-8 text, a byte that is not UTF-8 read as
+    a lone surrogate; a ParseError naming it if it cannot be opened."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ParseError(path, None, f"cannot read: {exc.strerror or exc}") from exc
 
 
-def _undecodable(path):
-    """The lines of path ahead of its first one that is not UTF-8, as a text
-    stream, and that line's ParseError. Only a read that failed pays for
-    this: the file is read again as bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _check_utf8(path, text: str, first: int = 1) -> None:
+    """Raise the ParseError of text's first byte that is not UTF-8, text being
+    read by ``open_input`` from line first on: the strict decode of its bytes,
+    lone surrogates encoded back, names it as a strict read of the file does."""
+    data = text.encode("utf-8", "surrogateescape")
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start]  # lines end at \n, \r or \r\n, as in text mode
-        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        fault = ParseError(path, line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}")
-        ahead = head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
-        return io.TextIOWrapper(io.BytesIO(ahead), encoding="utf-8"), fault
+        line_no = first + data.count(b"\n", 0, exc.start)  # text mode ends each line with \n
+        message = f"not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}"
+        raise ParseError(path, line_no, message) from None
 
 
 def read_json(path):
     """The one JSON document in path; a ParseError at the line of its first
     fault, be it a byte that is not UTF-8 or bad JSON."""
     with open_input(path) as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError:
-            raise _undecodable(path)[1] from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
-        except RecursionError:
-            raise ParseError(path, None, "invalid JSON: nested too deeply") from None
+        text = fh.read()
+    _check_utf8(path, text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(path, None, "invalid JSON: nested too deeply") from None
 
 
-_CHUNK = 1 << 16  # characters read, guarded and split at a time
+_CHUNK = 1 << 16  # characters read, guarded and split at a time (then up to a line end)
 _DIGITS = bytes.maketrans(b"123456789", b"000000000")
 _LONG_RUN = b"0" * 19
 
@@ -153,7 +154,7 @@ def _long_integer_lines(chunk: str, first: int) -> set:
     hold a run of 19 or more digits that neither a digit nor a "." precedes.
     Every integer literal beyond [-2**63, 2**64), which orjson reads as a
     float, is such a run; fractions are not."""
-    data = chunk.encode().translate(_DIGITS)
+    data = chunk.encode("utf-8", "surrogateescape").translate(_DIGITS)
     lines = set()
     at = data.find(_LONG_RUN)
     while at >= 0:
@@ -169,8 +170,14 @@ _TOO_DEEP = "record nested too deeply"
 _LONG_LINE = 1 << 16
 
 
-def _json_record(path, line_no, line: str):
-    """line decoded by ``json``, or the ParseError of its message."""
+def _json_record(path, line_no, line: str, chunk: str, first: int):
+    """line decoded by ``json``, or the ParseError of its message. line is
+    one of chunk's, whose first is line first; as ``json`` reads a lone
+    surrogate, a line holding one fails first, as not UTF-8."""
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        _check_utf8(path, chunk, first)
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
@@ -179,41 +186,36 @@ def _json_record(path, line_no, line: str):
         raise ParseError(path, line_no, _TOO_DEEP) from None
 
 
-def _iter_records(path, text=None):
-    """(line number, record) for each non-blank line of path (of text, if
-    given). orjson decodes each line, unless it holds a long integer literal,
-    is longer than _LONG_LINE or orjson rejects it: then ``json`` does, which
-    reads NaN, Infinity, 1e400 and lone surrogate escapes, gives the message
-    of a bad line and reports a line nested too deeply to decode.
-    A decode error can stop a text read ahead of lines it has not parsed;
-    they are parsed before it is raised, so the first bad line wins."""
+def _iter_records(path):
+    """(line number, record) for each non-blank line of path. orjson decodes
+    each line, unless it holds a long integer literal, is longer than
+    _LONG_LINE or orjson rejects it: then ``json`` does, which reads NaN,
+    Infinity, 1e400 and lone surrogate escapes, gives the message of a bad
+    line and reports a line nested too deeply to decode. orjson rejects a
+    line that holds a byte that is not UTF-8, so ``_json_record`` reports it."""
     line_no = 0
-    with (open_input(path) if text is None else text) as fh:
-        try:
-            while chunk := fh.read(_CHUNK):
-                chunk += fh.readline()
-                lines = chunk.split("\n")
-                if not lines[-1]:
-                    lines.pop()
-                slow = _long_integer_lines(chunk, line_no + 1)
-                for line_no, line in enumerate(lines, start=line_no + 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if line_no in slow or len(line) > _LONG_LINE:
-                        record = _json_record(path, line_no, line)
-                    else:
-                        try:
-                            record = orjson.loads(line)
-                        except orjson.JSONDecodeError:
-                            record = _json_record(path, line_no, line)
-                    if type(record) is not dict:
-                        raise ParseError(path, line_no, "each line must hold a JSON object")
-                    yield line_no, record
-        except UnicodeDecodeError:
-            ahead, fault = _undecodable(path)
-            yield from (item for item in _iter_records(path, ahead) if item[0] > line_no)
-            raise fault from None
+    with open_input(path) as fh:
+        while chunk := fh.read(_CHUNK):
+            chunk += fh.readline()
+            lines = chunk.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            first = line_no + 1
+            slow = _long_integer_lines(chunk, first)
+            for line_no, line in enumerate(lines, start=first):
+                line = line.strip()
+                if not line:
+                    continue
+                if line_no in slow or len(line) > _LONG_LINE:
+                    record = _json_record(path, line_no, line, chunk, first)
+                else:
+                    try:
+                        record = orjson.loads(line)
+                    except orjson.JSONDecodeError:
+                        record = _json_record(path, line_no, line, chunk, first)
+                if type(record) is not dict:
+                    raise ParseError(path, line_no, "each line must hold a JSON object")
+                yield line_no, record
 
 
 def read_detections(
@@ -276,11 +278,13 @@ def read_detections(
                     k = num_classes if num_classes is not None else max(class_id, 1)
                     if not 1 <= class_id <= k:
                         raise ValueError(f"class_id {class_id} out of range 1..{k}")
+                    if class_id > _INT64_MAX:
+                        raise ValueError(f"class_id must fit int64, got {class_id}")
+                    raw = [0.0] * (k + 1)
+                    raw[0] = 1.0 - score
+                    raw[class_id] = score
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ParseError(path, line_no, f"invalid score: {exc}") from exc
-                raw = [0.0] * (k + 1)
-                raw[0] = 1.0 - score
-                raw[class_id] = score
             try:
                 values.extend(raw)
             except (TypeError, OverflowError):
@@ -417,7 +421,8 @@ def read_ground_truth(
 
     Returns (ground-truth columns, image tags, num_classes, class_names,
     image ids), the image ids being every image a record declares, sorted.
-    The first record must be the meta header declaring the class count.
+    The first record, and no other, must be the meta header declaring the
+    class count, which must fit int64.
     """
     gt_images: List[str] = []
     class_ids, ignored = array("q"), []
@@ -429,6 +434,8 @@ def read_ground_truth(
     try:
         for line_no, record in _iter_records(path):
             if "meta" in record:
+                if num_classes is not None:
+                    raise ParseError(path, line_no, "only the first record may be a meta header")
                 meta = record["meta"]
                 if not isinstance(meta, dict) or "num_classes" not in meta:
                     raise ParseError(path, line_no, "meta record must declare num_classes")
@@ -439,6 +446,8 @@ def read_ground_truth(
                     raise ParseError(path, line_no, message) from None
                 if num_classes < 1:
                     raise ParseError(path, line_no, f"num_classes must be >= 1, got {num_classes}")
+                if num_classes > _INT64_MAX:
+                    raise ParseError(path, line_no, f"num_classes must fit int64, got {num_classes}")
                 names = meta.get("class_names")
                 if names is not None:
                     if not isinstance(names, list):

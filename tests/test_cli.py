@@ -341,9 +341,10 @@ class TestExitCodes:
             (DET % 10, [META % "1e999", GT % (10, 1)], "gt", 1),
             (DET % 10, [META % '"x"', GT % (10, 1)], "gt", 1),
             (DET % 10, ['{"meta": {"num_classes": 1, "class_names": 5}}', GT % (10, 1)], "gt", 1),
+            (DET % 10, [META % 10**19, GT % (10, 2**63)], "gt", 1),
         ],
         ids=["det-bbox-huge-int", "gt-bbox-huge-int", "class-id-1e999", "num-classes-1e999",
-             "num-classes-string", "class-names-number"],
+             "num-classes-string", "class-names-number", "num-classes-beyond-int64"],
     )
     def test_numbers_out_of_range_return_2_with_line(
         self, tmp_path, capsys, detection, truth, bad, line
@@ -354,6 +355,44 @@ class TestExitCodes:
         argv = ["eval", str(paths["det"]), str(paths["gt"]), "--out-prefix", str(tmp_path / "e")]
         assert main(argv) == 2
         assert f"{paths[bad]}:{line}:" in capsys.readouterr().err
+
+    def test_score_class_id_beyond_int64_returns_2_at_its_line(self, tmp_path, capsys):
+        dets = tmp_path / "det.jsonl"
+        score = '{"image_id": "i", "modality": "rgb", "bbox": [0, 0, 10, 20], "score": 0.5, "class_id": %d}'
+        dets.write_text(score % 10**19 + "\n", encoding="utf-8")
+        assert main(["fuse", str(dets), "--out", str(tmp_path / "fused.jsonl")]) == 2
+        self.clean_error(capsys, f"{dets}:1: invalid score: class_id must fit int64, got {10**19}")
+
+    def test_a_second_ground_truth_header_returns_2_at_its_line(self, tmp_path, capsys):
+        dets, gt = tmp_path / "det.jsonl", tmp_path / "gt.jsonl"
+        gt.write_text("\n".join([self.META % 2, self.GT % (10, 2), self.META % 1]) + "\n")
+        dets.write_text(self.DET % 10 + "\n", encoding="utf-8")
+        assert main(["eval", str(dets), str(gt), "--out-prefix", str(tmp_path / "e")]) == 2
+        self.clean_error(capsys, f"{gt}:3: only the first record may be a meta header")
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--iou-threshold", "5"], "iou_threshold must lie in (0, 1), got 5.0"),
+            (["--prior", "bogus"], "--prior must be 'uniform' or 'counted:<bg>', got 'bogus'"),
+            (["--prior", "counted:0.5"], "--prior counted requires --ground-truth"),
+            (["--temperature", "rgb=-1"], "temperature must be finite and > 0, got -1.0"),
+            (["--shift", "rgb=inf"], "shift must be finite, got inf"),
+            (["--temperature", "rgb"], "--temperature expects KEY=VALUE, got 'rgb'"),
+        ],
+        ids=["iou", "prior", "counted-prior", "temperature", "shift", "assignment"],
+    )
+    @pytest.mark.parametrize("mode", ["pooling", "max"])
+    def test_bad_fusion_flag_returns_3_in_every_mode(
+        self, fig3_inputs, tmp_path, capsys, flag, message, mode
+    ):
+        rgb, thermal = fig3_inputs
+        out = tmp_path / "out.jsonl"
+        argv = ["fuse", str(rgb), str(thermal), "--score-fusion", mode, *flag, "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_bad_prior_returns_3(self, fig3_inputs, tmp_path):
         rgb, thermal = fig3_inputs

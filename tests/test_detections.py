@@ -15,6 +15,10 @@ from proben import (
     logits_from_posteriors,
     softmax,
 )
+from proben.detections import DetectionColumns
+from proben.engine import DetectionBatch, FusionConfig, fuse_detections
+from proben.fileio import read_detections
+from proben.synth import generate, kaist_like_spec
 
 logit_vectors = st.lists(
     st.floats(min_value=-30, max_value=30, allow_nan=False),
@@ -114,6 +118,35 @@ class TestClassScores:
         s = ClassScores.from_logits([0.0, 1.0])
         with pytest.raises(ValueError):
             s.posteriors[0] = 0.5
+
+    def test_logits_read_only_wherever_the_stack_comes_from(self, tmp_path):
+        """Logits cannot change under the fields derived from them, and the
+        constructors leave their caller's array writable."""
+        path = tmp_path / "det.jsonl"
+        path.write_text(
+            '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "logits": [0, 3]}\n'
+            '{"image_id": "a", "modality": "rgb", "bbox": [1, 0, 5, 5], "posteriors": [0.4, 0.6]}\n'
+        )
+        read = read_detections(path)
+        thermal = read_detections(path, modality_override="thermal")
+        dets = generate(kaist_like_spec(seed=0, image_count=3)).detections
+        given = np.array([[0.25, 0.75]])
+        stacks = [
+            read.scores,
+            read.scores.take([1, 0]),
+            DetectionColumns.concatenate([read, thermal]).scores,
+            fuse_detections(DetectionBatch([read, thermal]), FusionConfig()).scores,
+            *(columns.scores for columns in dets.values()),
+            ClassScores.from_logits(given),
+            ClassScores.from_posteriors(given),
+            ClassScores.stack([read.scores.take(0), read.scores.take(1)]),
+        ]
+        for stack in stacks:
+            with pytest.raises(ValueError, match="read-only"):
+                stack.logits[0] = [5.0, -5.0]
+        given[0] = [0.5, 0.5]
+        assert stacks[-3].logits.tolist() == [[0.25, 0.75]]
+        assert stacks[-2].posteriors[0] == pytest.approx([0.25, 0.75])
 
     @given(st.data())
     def test_rows_derive_what_their_stack_derives(self, data):

@@ -6,17 +6,20 @@ import warnings
 import numpy as np
 import orjson
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from proben import BBox, ClassScores, Detection, GroundTruth, InvalidScoreError, ParseError
 from proben.cli import main
 from proben.detections import DetectionColumns, GroundTruthColumns, check_box_variance, softmax
+from proben import fileio
 from proben.fileio import (
     _BLOCK,
+    _CHUNK,
     _iter_records,
     _spelled,
     read_detections,
     read_ground_truth,
+    read_json,
     write_curves_csv,
     write_detections,
     write_ground_truth,
@@ -212,6 +215,26 @@ class TestDetectionParsing:
         with pytest.raises(ParseError, match=f":1: invalid {kind}: score vector has no foreground"):
             read_detections(path)
 
+    @pytest.mark.parametrize(
+        "class_id, message",
+        [
+            (2**63, "class_id must fit int64, got 9223372036854775808"),
+            (10**19, "class_id must fit int64, got 10000000000000000000"),
+            (2**63 - 1, "cannot fit 'int' into an index-sized integer"),  # k + 1 entries
+        ],
+    )
+    def test_class_id_beyond_int64_rejected_with_line(self, tmp_path, class_id, message):
+        path = self.write_lines(
+            tmp_path,
+            [
+                "",
+                '{"image_id": "a", "modality": "rgb", "bbox": [0, 0, 5, 5], "score": 0.5, '
+                f'"class_id": {class_id}}}',
+            ],
+        )
+        with pytest.raises(ParseError, match=f":2: invalid score: {re.escape(message)}"):
+            read_detections(path)
+
     def test_missing_modality_rejected(self, tmp_path):
         path = self.write_lines(
             tmp_path, ['{"image_id": "a", "bbox": [0, 0, 5, 5], "logits": [0, 1]}']
@@ -398,6 +421,89 @@ class TestUndecodableInput:
                 seen.append(line_no)
         assert seen == [1]
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_sequence_cut_off_by_a_line_end(self, tmp_path, newline):
+        """Half a euro sign ahead of a line end is an invalid continuation, as
+        a strict read of the whole file has it, not a sequence cut off."""
+        path = tmp_path / "det.jsonl"
+        good = b'{"image_id": "a"}'
+        path.write_bytes(newline.join([good, b'{"image_id": "\xe2\x82', good, b""]))
+        message = "det.jsonl:2: not UTF-8: byte 0xe2: invalid continuation byte"
+        with pytest.raises(ParseError, match=message) as raised:
+            list(_iter_records(path))
+        assert str(raised.value) == strict_read_fault(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_byte_opening_a_later_chunk(self, tmp_path, newline):
+        """Over more than three chunks, each with a long-integer line and a
+        line of Unicode whitespace, a byte that is not UTF-8 opening the
+        fourth chunk ends the read at its line. The lines ahead of it read
+        as json.loads reads them, and the message is that of a strict read
+        of the whole file."""
+        lines = [
+            json.dumps({"image_id": f"img{i:05d}", "modality": "rgb", "bbox": [0, 0, 5, 5],
+                        "logits": [0.0, i / 7]})
+            for i in range(3000)
+        ]
+        for at in range(100, len(lines), 700):
+            lines[at] = '{"image_id": "long", "v": 123456789012345678901234567}'
+            lines[at + 1] = UNICODE_SPACES
+        path = tmp_path / "det.jsonl"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        firsts = chunk_first_lines(path)
+        assert len(firsts) > 4
+        bad = firsts[3]
+        ahead = tmp_path / "ahead.jsonl"
+        ahead.write_bytes("".join(line + newline for line in lines[: bad - 1]).encode("utf-8"))
+        lines[bad - 1] = "\udcff" + lines[bad - 1][1:]  # the byte 0xff, one character as read
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8", "surrogateescape"))
+        assert chunk_first_lines(path) == firsts
+        seen = []
+        with pytest.raises(ParseError, match=f"det.jsonl:{bad}: not UTF-8: byte 0xff") as raised:
+            for item in _iter_records(path):
+                seen.append(item)
+        assert str(raised.value) == strict_read_fault(path)
+        assert repr(seen) == repr(json_records(ahead))
+
+    @pytest.mark.parametrize("read", [read_detections, read_ground_truth, read_json])
+    def test_the_file_is_opened_once(self, tmp_path, monkeypatch, read):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"meta": {"num_classes": 1}}\n{"image_id": "\xff"}\n')
+        opened = []
+
+        def counted(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(fileio, "open", counted, raising=False)
+        with pytest.raises(ParseError, match="in.jsonl:2: not UTF-8: byte 0xff: invalid start byte"):
+            read(path)
+        assert opened == [path]
+
+
+def strict_read_fault(path) -> str:
+    """The message of the first byte of path that a strict UTF-8 read of the
+    whole file refuses, at its line; lines end at \\n, \\r or \\r\\n."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return str(ParseError(path, line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}"))
+
+
+def chunk_first_lines(path) -> list:
+    """The number of the first line of each chunk that _iter_records reads
+    of path: _CHUNK characters, then the rest of the line."""
+    firsts, line_no = [], 1
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while chunk := fh.read(_CHUNK):
+            chunk += fh.readline()
+            firsts.append(line_no)
+            line_no += chunk.count("\n")
+    return firsts
+
 
 class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):
@@ -425,6 +531,36 @@ class TestGroundTruthFile:
         path.write_text('{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 1}\n')
         with pytest.raises(ParseError, match="meta"):
             read_ground_truth(path)
+
+    def test_a_second_header_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            '{"meta": {"num_classes": 2}}\n'
+            '{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 2}\n'
+            '{"meta": {"num_classes": 1}}\n'
+        )
+        with pytest.raises(ParseError, match=":3: only the first record may be a meta header"):
+            read_ground_truth(path)
+
+    @pytest.mark.parametrize("num_classes", [2**63, 10**19])
+    def test_class_count_beyond_int64_rejected_at_its_line(self, tmp_path, num_classes):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            f'{{"meta": {{"num_classes": {num_classes}}}}}\n'
+            '{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 9223372036854775808}\n'
+        )
+        with pytest.raises(ParseError, match=f":1: num_classes must fit int64, got {num_classes}"):
+            read_ground_truth(path)
+
+    def test_largest_int64_class_count_and_id_read(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            f'{{"meta": {{"num_classes": {2**63 - 1}}}}}\n'
+            f'{{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": {2**63 - 1}}}\n'
+        )
+        gts, _, num_classes, _, _ = read_ground_truth(path)
+        assert num_classes == 2**63 - 1
+        assert gts.class_id.tolist() == [2**63 - 1]
 
     def test_class_id_range_enforced(self, tmp_path):
         path = tmp_path / "gt.jsonl"
@@ -517,6 +653,8 @@ def reference_read_detections(path, modality_override=None, num_classes=None, st
                     k = num_classes if num_classes is not None else max(class_id, 1)
                     if not 1 <= class_id <= k:
                         raise ValueError(f"class_id {class_id} out of range 1..{k}")
+                    if class_id >= 2**63:
+                        raise ValueError(f"class_id must fit int64, got {class_id}")
                     row = [0.0] * (k + 1)
                     row[0] = 1.0 - score
                     row[class_id] = score
@@ -566,6 +704,8 @@ def reference_read_ground_truth(path):
             if not isinstance(record, dict):
                 raise ParseError(path, line_no, "each line must hold a JSON object")
             if "meta" in record:
+                if num_classes is not None:
+                    raise ParseError(path, line_no, "only the first record may be a meta header")
                 meta = record["meta"]
                 if not isinstance(meta, dict) or "num_classes" not in meta:
                     raise ParseError(path, line_no, "meta record must declare num_classes")
@@ -576,6 +716,8 @@ def reference_read_ground_truth(path):
                     raise ParseError(path, line_no, message) from None
                 if num_classes < 1:
                     raise ParseError(path, line_no, f"num_classes must be >= 1, got {num_classes}")
+                if num_classes >= 2**63:
+                    raise ParseError(path, line_no, f"num_classes must fit int64, got {num_classes}")
                 if meta.get("class_names") is not None:
                     if not isinstance(meta["class_names"], list):
                         raise ParseError(
@@ -814,6 +956,44 @@ def actual_columns(columns):
 OTHER_IGNORE_VALUES = st.sampled_from([None, "false", "true", 0, 1, 0.0, [], {}])
 
 
+@st.composite
+def ground_truth_text(draw):
+    """A ground-truth file: mostly a header, then records with faults, and
+    now and then a second header."""
+    lines = []
+    if draw(st.integers(0, 9)):
+        num_classes = st.integers(0, 3) | st.sampled_from([math.inf, "x"]) | LONG_INTS | RAW_LITERALS
+        meta = {"num_classes": draw(num_classes)}
+        names = st.sampled_from([None, ["a", "b", "c"], 5, "ab"]) | LONG_INTS
+        names |= st.lists(st.text(max_size=2) | LONG_INTS | RAW_LITERALS | LONE_SURROGATES, max_size=3)
+        names = draw(names)
+        if names is not None:
+            meta["class_names"] = names
+        lines.append(dumps({"meta": meta}))
+    for _ in range(draw(st.integers(0, 8))):
+        image_id = st.text(min_size=1, max_size=3) | st.integers(0, 5) | LONG_INTS | LONE_SURROGATES
+        record = {"image_id": draw(image_id)}
+        tag = draw(st.sampled_from([None, "day", "night", "dusk"]) | LONG_INTS | LONE_SURROGATES)
+        if tag is not None:
+            record["tag"] = tag
+        if draw(st.integers(0, 4)):
+            box = [draw(COORDS), draw(COORDS), draw(EXTENTS), draw(EXTENTS)]
+            if draw(st.integers(0, 3)) == 0:
+                box = BOX_FAULTS[draw(st.sampled_from(sorted(BOX_FAULTS)))](box)
+            record["bbox"] = box
+            class_ids = st.sampled_from([1, 2, 3, 0, "x", None, math.inf]) | LONG_INTS | RAW_LITERALS
+            record["class_id"] = draw(class_ids)
+            if draw(st.booleans()):
+                record["ignore"] = draw(st.booleans() | OTHER_IGNORE_VALUES | LONG_INTS)
+        line = dumps(record)
+        if draw(st.integers(0, 15)) == 0:
+            line = line[:-3]  # truncated: invalid JSON
+        lines.append(line)
+    if lines and draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), dumps({"meta": {"num_classes": 1}}))
+    return draw(file_text(lines))
+
+
 class TestColumnReaders:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(detection_file(), st.data())
@@ -829,39 +1009,14 @@ class TestColumnReaders:
             assert actual_columns(got) == expected_columns(want)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.data())
-    def test_ground_truth_equals_the_record_by_record_reader(self, tmp_path, data):
-        lines = []
-        if data.draw(st.integers(0, 9)):
-            num_classes = st.integers(0, 3) | st.sampled_from([math.inf, "x"]) | LONG_INTS | RAW_LITERALS
-            meta = {"num_classes": data.draw(num_classes)}
-            names = st.sampled_from([None, ["a", "b", "c"], 5, "ab"]) | LONG_INTS
-            names |= st.lists(st.text(max_size=2) | LONG_INTS | RAW_LITERALS | LONE_SURROGATES, max_size=3)
-            names = data.draw(names)
-            if names is not None:
-                meta["class_names"] = names
-            lines.append(dumps({"meta": meta}))
-        for _ in range(data.draw(st.integers(0, 8))):
-            image_id = st.text(min_size=1, max_size=3) | st.integers(0, 5) | LONG_INTS | LONE_SURROGATES
-            record = {"image_id": data.draw(image_id)}
-            tag = data.draw(st.sampled_from([None, "day", "night", "dusk"]) | LONG_INTS | LONE_SURROGATES)
-            if tag is not None:
-                record["tag"] = tag
-            if data.draw(st.integers(0, 4)):
-                box = [data.draw(COORDS), data.draw(COORDS), data.draw(EXTENTS), data.draw(EXTENTS)]
-                if data.draw(st.integers(0, 3)) == 0:
-                    box = BOX_FAULTS[data.draw(st.sampled_from(sorted(BOX_FAULTS)))](box)
-                record["bbox"] = box
-                class_ids = st.sampled_from([1, 2, 3, 0, "x", None, math.inf]) | LONG_INTS | RAW_LITERALS
-                record["class_id"] = data.draw(class_ids)
-                if data.draw(st.booleans()):
-                    record["ignore"] = data.draw(st.booleans() | OTHER_IGNORE_VALUES | LONG_INTS)
-            line = dumps(record)
-            if data.draw(st.integers(0, 15)) == 0:
-                line = line[:-3]  # truncated: invalid JSON
-            lines.append(line)
+    @given(ground_truth_text())
+    @example(  # a class count and a class id beyond int64
+        '{"meta": {"num_classes": 10000000000000000000}}\n'
+        '{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 9223372036854775808}\n'
+    )
+    def test_ground_truth_equals_the_record_by_record_reader(self, tmp_path, text):
         path = tmp_path / "gt.jsonl"
-        path.write_bytes(data.draw(file_text(lines)).encode("utf-8"))
+        path.write_bytes(text.encode("utf-8"))
         want, want_error = outcome(reference_read_ground_truth, path)
         got, got_error = outcome(read_ground_truth, path)
         assert got_error == want_error

@@ -44,7 +44,6 @@ NEVER_ENTERED = {
     "errors.ParseError.__init__": ERROR_PATH,
     "fileio._check_row": ERROR_PATH,
     "fileio._extend_slowly": RARE_INPUT,  # a bbox or score entry that is not a number
-    "fileio._undecodable": ERROR_PATH,
     "fileio._json_record": RARE_INPUT,  # NaN, long integers, long lines, bad JSON
     "geometry.BBox.__post_init__": OBJECT_VIEW,  # and the error of a bad box
     "geometry.BBox.as_list": OBJECT_VIEW,
