@@ -7,8 +7,6 @@ from .detections import (
     Detection,
     GroundTruth,
     estimate_class_prior,
-    logits_from_posteriors,
-    softmax,
 )
 from .engine import DetectionBatch, FusionConfig, fuse, fuse_all, pool
 from .errors import (
@@ -79,9 +77,7 @@ __all__ = [
     "iou",
     "kaist_like_spec",
     "lamr",
-    "logits_from_posteriors",
     "match",
     "match_all",
     "pool",
-    "softmax",
 ]

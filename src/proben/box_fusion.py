@@ -60,6 +60,14 @@ def member_weights(mode: str, class_posteriors, variances, det_ids) -> np.ndarra
     raise ConfigurationError(f"unknown box fusion mode {mode!r}")
 
 
+def _fsum(values: list) -> float:
+    """``math.fsum``, or an infinity where a partial sum leaves the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.copysign(math.inf, sum(values))
+
+
 def weighted_average(boxes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``convex_combination`` of each of n clusters of m members, bit for bit.
 
@@ -68,7 +76,8 @@ def weighted_average(boxes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     as ``math.fsum`` does (the leading 0.0 turns a -0.0 sum into 0.0, as
     fsum does). Numpy has no correctly rounded sum of more terms, so for
     larger clusters ``math.fsum`` adds up each row of weights and of
-    weighted coordinates, turned to a list.
+    weighted coordinates, turned to a list. A sum beyond the float range is
+    infinite, so the box's check raises ``BBox``'s error.
     """
     n, m = weights.shape
     if np.any(weights < 0):
@@ -81,12 +90,13 @@ def weighted_average(boxes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if m > 2:
         # five sums a cluster: its weights, then its terms of x, y, w and h
         rows = np.concatenate((weights[:, None, :], terms.transpose(0, 2, 1)), axis=1)
-        sums = np.array(list(map(math.fsum, rows.reshape(-1, m).tolist()))).reshape(n, 5)
+        sums = np.array(list(map(_fsum, rows.reshape(-1, m).tolist()))).reshape(n, 5)
         total, coords = sums[:, 0], sums[:, 1:]
     else:
-        total, coords = 0.0 + weights[:, 0], 0.0 + terms[:, 0]
-        if m == 2:
-            total, coords = total + weights[:, 1], coords + terms[:, 1]
+        with np.errstate(over="ignore"):  # a sum beyond the float range fails below
+            total, coords = 0.0 + weights[:, 0], 0.0 + terms[:, 0]
+            if m == 2:
+                total, coords = total + weights[:, 1], coords + terms[:, 1]
     fused = coords / total[:, None]
     bad = first_invalid_box(fused)
     if bad >= 0:

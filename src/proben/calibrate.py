@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
@@ -61,9 +60,7 @@ def _objective_value(
     if objective == "lamr":
         return lamr(result, len(truth.image_ids))
     if objective == "ap":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            values = [average_precision(result, c) for c in range(1, num_classes + 1)]
+        values = [average_precision(result, c) for c in range(1, num_classes + 1)]
         defined = [v for v in values if v is not None]
         if not defined:
             raise ConfigurationError("AP objective undefined: no ground truth of any class")

@@ -8,7 +8,6 @@ ingested as binary posteriors (1-c on background, c on the predicted class).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence
@@ -34,11 +33,6 @@ def _softmax(arr: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction) along the last axis."""
-    return _softmax(_finite(logits))
-
-
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) along the last axis, kept as a length-1 axis.
 
@@ -51,25 +45,6 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     count = at_top.sum(axis=-1, keepdims=True)
     rest = np.exp(np.where(at_top, -np.inf, x) - top).sum(axis=-1, keepdims=True)
     return np.log1p(rest / count) + np.log(count) + top
-
-
-def logits_from_posteriors(posteriors) -> np.ndarray:
-    """One valid logit preimage of a probability vector: elementwise log.
-
-    Entries outside (eps, 1-eps) are clamped with a warning so that exact
-    zeros and ones stay invertible.
-    """
-    p = np.asarray(posteriors, dtype=float)
-    if p.size == 0 or not np.all(np.isfinite(p)):
-        raise InvalidScoreError(f"posteriors must be finite, got {p!r}")
-    if np.any(p < POSTERIOR_EPS) or np.any(p > 1.0 - POSTERIOR_EPS):
-        warnings.warn(
-            "posterior entries clamped to [%.0e, 1-%.0e] before log"
-            % (POSTERIOR_EPS, POSTERIOR_EPS),
-            stacklevel=2,
-        )
-        p = np.clip(p, POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
-    return np.log(p)
 
 
 @dataclass(frozen=True)
@@ -105,7 +80,8 @@ class ClassScores:
         off = np.abs(total - 1.0) > 1e-6
         if np.any(off):
             raise InvalidScoreError(f"posteriors must sum to 1, got {total[off][0]}")
-        return cls(logits=logits_from_posteriors(np.clip(p, 0.0, 1.0) / total))
+        q = np.clip(p, 0.0, 1.0) / total  # clamped next, so an exact 0 or 1 has a log
+        return cls(logits=np.log(np.clip(q, POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)))
 
     @classmethod
     def stack(cls, rows: Sequence["ClassScores"]) -> "ClassScores":

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from array import array
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,14 +45,11 @@ _INT64_MAX = (1 << 63) - 1  # class ids are held as int64
 
 
 def _build_scores(kind: str, rows) -> ClassScores:
-    """Scores of one row, or of a stack of rows, of one kind."""
+    """Scores of one row, or of a stack of rows, of one kind; a score row is
+    held as its binary posteriors."""
     if kind == "logits":
         return ClassScores.from_logits(rows)
-    if kind == "posteriors":
-        return ClassScores.from_posteriors(rows)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scalar-score records clamp by design
-        return ClassScores.from_posteriors(rows)
+    return ClassScores.from_posteriors(rows)
 
 
 def _check_row(path, line_no, kind: str, row) -> None:
@@ -227,16 +223,18 @@ def read_detections(
     """Parse a detection file into columns; det_ids are assigned in ingest order.
 
     Each record's fields go straight into the column arrays. Boxes are
-    checked together, and the score rows of each kind are checked and
-    converted together, in one ``ClassScores`` constructor call per kind. An
-    error is still reported at the first bad line, with the message a reader
-    checking record by record gives.
+    checked together. The logits rows are checked and converted together in
+    one ``ClassScores.from_logits`` call, and the posteriors rows, those of
+    score records among them, in one ``from_posteriors`` call. An error is
+    still reported at the first bad line, with the message a reader checking
+    record by record gives.
     """
     image_ids: List[str] = []
     modalities: List[str] = []
     box_values, lines, variances = array("d"), array("q"), array("d")
-    # per score kind: the row values back to back, and each row's index
-    pending = {kind: (array("d"), array("q")) for kind in _SCORE_KINDS}
+    # logits rows and posteriors rows (a score record's among them): the row
+    # values back to back, and each row's index
+    pending = {kind: (array("d"), array("q")) for kind in ("logits", "posteriors")}
     try:
         for line_no, record in _iter_records(path):
             if "meta" in record:
@@ -266,7 +264,7 @@ def read_detections(
                     message = f"exactly one of logits/posteriors/score required, got {present}"
                     raise ParseError(path, line_no, message)
                 kind = present[0]
-            values, rows = pending[kind]
+            values, rows = pending["logits" if kind == "logits" else "posteriors"]
             start = len(values)
             raw = record[kind]
             if kind == "score":
@@ -392,8 +390,8 @@ def write_detections(path, detections) -> None:
 
     The bytes are those of one ``json.dumps`` call per record. Rows are
     rendered from one ``%``-template, a block of rows and a column at a
-    time: each distinct image id and modality of a block is encoded once,
-    and each float column is spelled by one orjson call (``_spelled``).
+    time: every image id and modality is encoded by ``_json_strings``, and
+    each float column is spelled by one orjson call (``_spelled``).
     """
     detections = DetectionColumns.of(detections)
     logits = detections.scores.logits

@@ -16,7 +16,8 @@ class BBox:
     """Box in pixel coordinates: top-left corner plus width and height.
 
     Coordinates are real-valued (sub-pixel allowed) and never clipped to
-    image bounds. Zero or negative extents are rejected at construction.
+    image bounds. Zero or negative extents, and far edges (x + w, y + h)
+    beyond the float range, are rejected at construction.
     """
 
     x: float
@@ -31,6 +32,8 @@ class BBox:
                 raise ValueError(f"BBox.{name} must be a finite number, got {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"BBox extents must be positive, got w={self.w}, h={self.h}")
+        if not (math.isfinite(self.x + self.w) and math.isfinite(self.y + self.h)):
+            raise ValueError(f"BBox far edges must be finite, got x2={self.x2}, y2={self.y2}")
 
     @property
     def x2(self) -> float:
@@ -70,10 +73,13 @@ def box_array(boxes: Iterable[BBox]) -> np.ndarray:
 
 
 def first_invalid_box(boxes: np.ndarray, also=False) -> int:
-    """The first row of (N, 4) boxes that ``BBox`` rejects (a coordinate that
-    is not finite, or a width or height that is not positive) or that also
-    marks; -1 if there is none."""
-    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0) | (boxes[:, 3] <= 0) | also
+    """The first row of (N, 4) boxes that ``BBox`` rejects (a coordinate or a
+    far edge that is not finite, or a width or height that is not positive)
+    or that also marks; -1 if there is none."""
+    x, y, w, h = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2, y2 = x + w, y + h  # not finite where an entry is not, too
+    bad = ~(np.isfinite(x2) & np.isfinite(y2) & (w > 0) & (h > 0)) | also
     return int(np.argmax(bad)) if bad.any() else -1
 
 
@@ -86,10 +92,10 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     ax, ay, aw, ah = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
     bx, by, bw, bh = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
-    iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
-    ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-    inter = iw * ih
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as Python floats
+        iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        inter = iw * ih
         value = np.clip(inter / (aw * ah + bw * bh - inter), 0.0, 1.0)
     value = np.where((iw <= 0) | (ih <= 0), 0.0, value)
     return np.where((ax == bx) & (ay == by) & (aw == bw) & (ah == bh), 1.0, value)

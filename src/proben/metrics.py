@@ -10,7 +10,6 @@ values log-spaced in [1e-2, 1].
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -224,7 +223,6 @@ def average_precision(result: MatchResult, class_id: int) -> Optional[float]:
     """All-point interpolated AP for one class; None when the class has no GT."""
     recall, precision, npos = _pr_points(result, class_id)
     if npos == 0:
-        warnings.warn(f"class {class_id} has no ground truth; AP undefined")
         return None
     return _ap_from_points(recall, precision)
 

@@ -13,7 +13,6 @@ for numerical stability.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,9 +56,7 @@ def fuse_max(member_scores: Sequence[ClassScores]) -> ClassScores:
 def fuse_avg_posteriors(member_scores: Sequence[ClassScores]) -> ClassScores:
     _require_members(member_scores)
     mean = np.mean([s.posteriors for s in member_scores], axis=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # averaged posteriors may contain exact zeros
-        return ClassScores.from_posteriors(mean)
+    return ClassScores.from_posteriors(mean)
 
 
 def fuse_avg_logits(member_scores: Sequence[ClassScores]) -> ClassScores:
@@ -97,6 +94,12 @@ def calibrate_scores(scores: ClassScores, params: CalibrationParams) -> ClassSco
     """
     if params.temperature == 1.0 and params.shift == 0.0:
         return scores
-    logits = scores.logits / params.temperature
-    logits[..., 1:] += params.shift
+    with np.errstate(over="ignore"):
+        logits = scores.logits / params.temperature
+        logits[..., 1:] += params.shift
+    if not np.isfinite(logits).all():
+        raise ConfigurationError(
+            f"calibration T={params.temperature}, b={params.shift} "
+            "takes a logit beyond the float range"
+        )
     return ClassScores.from_logits(logits)

@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from proben import (
     match_all,
 )
 from proben.calibrate import GridSpec, grid_search
-from proben.detections import softmax
 from proben.score_fusion import CalibrationParams
 
 
@@ -38,7 +36,7 @@ def three_modalities():
     for modality in sorted(dataset.detections):
         dets = dataset.detections[modality]
         if modality == "thermal":
-            posteriors = ClassScores.from_posteriors(softmax(dets.scores.logits))
+            posteriors = ClassScores.from_posteriors(dets.scores.posteriors)
             dets = dataclasses.replace(dets, scores=posteriors)
         sets.append(dets)
     return sets, dataset.ground_truths
@@ -48,9 +46,7 @@ def fresh_objective(sets, gts, image_ids, config, objective):
     result = match_all(fuse_all(sets, config), gts, config.iou_threshold, image_ids=image_ids)
     if objective == "lamr":
         return lamr(result, len(image_ids))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        values = [average_precision(result, c) for c in (1, 2)]
+    values = [average_precision(result, c) for c in (1, 2)]
     return float(np.mean([v for v in values if v is not None]))
 
 

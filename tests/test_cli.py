@@ -6,7 +6,7 @@ import pytest
 
 from proben.box_fusion import BOX_FUSION_MODES
 from proben.cli import main
-from proben.detections import softmax
+from proben.detections import ClassScores
 from proben.engine import SCORE_FUSION_MODES
 
 
@@ -687,6 +687,48 @@ class TestExitCodes:
         self.clean_error(capsys, f"{spec_path}: invalid JSON: nested too deeply")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fuse", "calibrate"])
+    def test_calibration_beyond_the_float_range_returns_3(
+        self, fig3_inputs, gt_file, tmp_path, capsys, command
+    ):
+        rgb, thermal = fig3_inputs
+        argv = {
+            "fuse": ["fuse", str(rgb), str(thermal), "--temperature", "rgb=1e-320",
+                     "--out", str(tmp_path / "fused.jsonl")],
+            "calibrate": ["calibrate", str(rgb), str(thermal), "--ground-truth", str(gt_file),
+                          "--calibrate-modality", "rgb", "--grid-t", "1e-320:1e-320:1",
+                          "--out-prefix", str(tmp_path / "cal")],
+        }[command]
+        assert main(argv) == 3
+        message = "calibration T=1e-320, b=0.0 takes a logit beyond the float range"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("modalities", [2, 3])
+    def test_fused_box_beyond_the_float_range_returns_3(self, tmp_path, capsys, modalities):
+        """Identical valid boxes whose sum of coordinates overflows: each
+        cluster size fails at the fused box's check."""
+        paths = []
+        for m in range(modalities):
+            path = tmp_path / f"det{m}.jsonl"
+            record = {"image_id": "i", "modality": f"m{m}", "bbox": [1e308, 0, 5, 5], "logits": [0, 1]}
+            write_jsonl(path, [record])
+            paths.append(str(path))
+        assert main(["fuse", *paths, "--out", str(tmp_path / "fused.jsonl")]) == 3
+        assert capsys.readouterr().err == "error: BBox.x must be a finite number, got inf\n"
+
+    def test_far_edge_beyond_the_float_range_returns_2_at_its_line(self, tmp_path, capsys):
+        far_edge = [1.7e308, 0, 1e308, 5]  # each entry finite, x + w not
+        message = "invalid bbox: BBox far edges must be finite, got x2=inf, y2=5.0"
+        det, gt = tmp_path / "det.jsonl", tmp_path / "gt.jsonl"
+        record = {"image_id": "i", "modality": "rgb", "bbox": far_edge, "logits": [0, 1]}
+        write_jsonl(det, [record, dict(record, modality="thermal")])
+        assert main(["fuse", str(det), "--out", str(tmp_path / "fused.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {det}:1: {message}\n"
+        write_jsonl(det, [dict(record, bbox=[0, 0, 5, 5])])
+        write_jsonl(gt, [{"meta": {"num_classes": 1}}, {"image_id": "i", "bbox": far_edge, "class_id": 1}])
+        assert main(["eval", str(det), str(gt), "--out-prefix", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == f"error: {gt}:2: {message}\n"
+
 
 class TestIgnoreFlag:
     """One image, two ground truths, one detection on the first of them."""
@@ -742,7 +784,7 @@ def synth_300_thermal_posteriors(synth_300, tmp_path_factory):
         (directory / name).write_bytes((synth_300 / name).read_bytes())
     records = read_jsonl(synth_300 / "det_thermal.jsonl")
     for record in records:
-        record["posteriors"] = softmax(record.pop("logits")).tolist()
+        record["posteriors"] = ClassScores.from_logits(record.pop("logits")).posteriors.tolist()
     write_jsonl(directory / "det_thermal.jsonl", records)
     return directory
 
@@ -813,6 +855,29 @@ def test_scores_beyond_the_clamp_rank_alike_in_eval_fuse_and_calibrate(tmp_path,
         row = (tmp_path / "cal.surface.csv").read_text().splitlines()[1]
         values.append(float(row.split(",")[2]))
     assert values == [values[0]] * len(values)
+
+
+@pytest.mark.parametrize("score_fusion", [*SCORE_FUSION_MODES, "pooling"])
+def test_score_and_posteriors_records_fuse_alike_and_silently(tmp_path, capsys, score_fusion):
+    """A score s and the posteriors [1 - s, s] are one score row, clamped
+    alike and without a warning, at s = 0 and s = 1 too."""
+    kinds = {"score": lambda s: {"score": s}, "posteriors": lambda s: {"posteriors": [1 - s, s]}}
+    values = [0.0, 0.3, 1.0]
+    fused = {}
+    for kind, field in kinds.items():
+        paths = []
+        for m, modality in enumerate(["rgb", "thermal"]):
+            path = tmp_path / f"{kind}_{modality}.jsonl"
+            write_jsonl(path, [
+                {"image_id": f"i{j}", "modality": modality, "bbox": [m, 0, 10, 20], **field(s)}
+                for j, s in enumerate(values if m == 0 else values[::-1])
+            ])
+            paths.append(str(path))
+        out = tmp_path / f"{kind}_fused.jsonl"
+        assert main(["fuse", *paths, "--score-fusion", score_fusion, "--out", str(out)]) == 0
+        fused[kind] = out.read_bytes()
+    assert fused["score"] == fused["posteriors"]
+    assert capsys.readouterr().err == ""
 
 
 class TestClassCountFromGroundTruth:

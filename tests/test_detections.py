@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from proben import (
     GroundTruth,
     InvalidScoreError,
     estimate_class_prior,
-    logits_from_posteriors,
-    softmax,
 )
 from proben.detections import DetectionColumns
 from proben.engine import DetectionBatch, FusionConfig, fuse_detections
@@ -27,7 +26,17 @@ logit_vectors = st.lists(
 )
 
 
+def softmax(logits) -> np.ndarray:
+    return ClassScores.from_logits(logits).posteriors
+
+
+def logits_from_posteriors(posteriors) -> np.ndarray:
+    return ClassScores.from_posteriors(posteriors).logits
+
+
 class TestSoftmax:
+    """The posteriors of ``from_logits``: a softmax along the last axis."""
+
     def test_symmetry(self):
         assert softmax([0.0, 0.0]) == pytest.approx([0.5, 0.5])
 
@@ -59,6 +68,8 @@ class TestSoftmax:
 
 
 class TestLogitsFromPosteriors:
+    """The logits of ``from_posteriors``: an elementwise log, clamped."""
+
     def test_symmetric_case(self):
         logits = logits_from_posteriors([0.5, 0.5])
         assert logits == pytest.approx([math.log(0.5)] * 2)
@@ -70,17 +81,24 @@ class TestLogitsFromPosteriors:
         back = softmax(logits_from_posteriors(p))
         assert back == pytest.approx(p, abs=1e-9)
 
-    def test_degenerate_entries_clamped_with_warning(self):
-        with pytest.warns(UserWarning):
+    def test_degenerate_entries_clamped_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             logits = logits_from_posteriors([1.0, 0.0])
+        assert logits.tolist() == [math.log(1 - 1e-7), math.log(1e-7)]
         back = softmax(logits)
         assert back == pytest.approx([1 - 1e-7, 1e-7], abs=2e-7)
+
+    def test_in_range_entries_are_not_clipped(self):
+        p = np.array([[0.25, 0.75], [0.5, 0.5], [0.125, 0.875]])
+        assert np.array_equal(logits_from_posteriors(p), np.log(p))
 
 
 class TestClassScores:
     def test_posteriors_match_softmax_of_logits(self):
         s = ClassScores.from_logits([1.0, -0.5, 2.0])
-        assert s.posteriors == pytest.approx(softmax(s.logits), abs=1e-6)
+        exp = np.exp(s.logits)
+        assert s.posteriors == pytest.approx(exp / exp.sum(), abs=1e-6)
 
     def test_from_posteriors_round_trip(self):
         s = ClassScores.from_posteriors([0.2, 0.8])

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import warnings
 
 import numpy as np
 import orjson
@@ -10,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from proben import BBox, ClassScores, Detection, GroundTruth, InvalidScoreError, ParseError
 from proben.cli import main
-from proben.detections import DetectionColumns, GroundTruthColumns, check_box_variance, softmax
+from proben.detections import DetectionColumns, GroundTruthColumns, check_box_variance
 from proben import fileio
 from proben.fileio import (
     _BLOCK,
@@ -83,9 +82,7 @@ class TestDetectionRoundTrip:
         records, num_classes = case
         path, again = tmp_path / "dets.jsonl", tmp_path / "again.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # clamped posteriors warn
-            first = read_detections(path, num_classes=num_classes)
+        first = read_detections(path, num_classes=num_classes)
         write_detections(again, first)
         second = read_detections(again, num_classes=num_classes)
         for name in ("logits", "posteriors", "score"):
@@ -297,10 +294,8 @@ class TestStackedIngest:
         records = mixed_records(rng, width)
         path = tmp_path / "mixed.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # clamped posteriors warn
-            parsed = read_detections(path, num_classes=width - 1).to_detections()
-            expected = [per_record_scores(r, width - 1) for r in records]
+        parsed = read_detections(path, num_classes=width - 1).to_detections()
+        expected = [per_record_scores(r, width - 1) for r in records]
         assert len(parsed) == len(records)
         for d, want in zip(parsed, expected):
             assert bits(d.scores.logits) == bits(want.logits)
@@ -321,11 +316,9 @@ class TestStackedIngest:
                 return method(cls, rows)
 
             monkeypatch.setattr(ClassScores, name, classmethod(counted))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            read_detections(path, num_classes=2)
-        # posteriors and score records each make one from_posteriors call
-        assert sorted(calls) == ["from_logits", "from_posteriors", "from_posteriors"]
+        read_detections(path, num_classes=2)
+        # posteriors and score records share one from_posteriors call
+        assert sorted(calls) == ["from_logits", "from_posteriors"]
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -762,12 +755,10 @@ def reference_read_ground_truth(path):
 
 def outcome(read, *args, **kwargs):
     """(result, None), or (None, (type, message)) when read raises."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # clamped posteriors warn
-        try:
-            return read(*args, **kwargs), None
-        except Exception as exc:  # noqa: BLE001 - compared by type and message
-            return None, (type(exc), str(exc))
+    try:
+        return read(*args, **kwargs), None
+    except Exception as exc:  # noqa: BLE001 - compared by type and message
+        return None, (type(exc), str(exc))
 
 
 # integers at and beyond the ends of [-2**63, 2**64), and of 19 to 25 digits
@@ -821,6 +812,7 @@ BOX_FAULTS = {
     "bbox-overflow-h": lambda box: [box[0], box[1], box[2], "1e999"],
     "bbox-overflow-literal": lambda box: [box[0], box[1], RAW + "1e400", box[3]],
     "bbox-nan-literal": lambda box: [box[0], RAW + "NaN", *box[2:]],
+    "bbox-far-edge-overflow": lambda box: [1.7e308, box[1], 1e308, box[3]],
 }
 DETECTION_FAULTS = sorted(BOX_FAULTS) + [
     "no-image-id", "no-modality", "two-kinds", "no-kind", "logits-nan", "one-entry",
@@ -1217,7 +1209,7 @@ class TestLineDecoder:
                 records = [json.loads(line) for line in path.read_text().splitlines()]
                 for r in records:
                     if scale is None:
-                        r["posteriors"] = softmax(r.pop("logits")).tolist()
+                        r["posteriors"] = ClassScores.from_logits(r.pop("logits")).posteriors.tolist()
                     else:
                         r["logits"] = [v * scale for v in r["logits"]]
                 path.write_text("".join(json.dumps(r) + "\n" for r in records))

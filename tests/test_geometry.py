@@ -49,6 +49,11 @@ class TestBBox:
         with pytest.raises(ValueError):
             BBox(0, 0, bad, 1)
 
+    @pytest.mark.parametrize("box", [(1.7e308, 0, 1e308, 5), (0, 1e308, 5, 1e308)])
+    def test_rejects_far_edge_beyond_float_range(self, box):
+        with pytest.raises(ValueError, match="far edges must be finite"):
+            BBox(*box)
+
     def test_subpixel_coordinates_allowed(self):
         b = BBox(0.25, -3.5, 0.5, 7.125)
         assert b.x2 == 0.75
@@ -162,6 +167,8 @@ class TestBoxIou:
     @example([(BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)), (BBox(0, 0, 10, 10), BBox(0, 10, 5, 5))])
     # boxes one ulp apart whose ratio rounds to 1.0000000000000002 before the clamp
     @example([(BBox(1.3, 1.18, 4.98, 2.36), BBox(1.3000000000000003, 1.18, 4.98, 2.36))])
+    # areas whose sum overflows: a denominator of inf, an IoU of 0
+    @example([(BBox(0, 0, 1e154, 1e154), BBox(1, 0, 1e154, 1e154))])
     def test_pairwise_equals_iou(self, pairs):
         a, b = zip(*pairs)
         want = np.array([iou(x, y) for x, y in pairs], dtype=float)

@@ -1,6 +1,6 @@
 """No module of the program or of its tests imports a name it never reads.
 
-Every file in ``src/proben/`` and ``tests/`` is parsed with ``ast``, and each
+Every file in ``src/proben/``, ``tests/`` and ``tools/`` is parsed with ``ast``, and each
 name an import binds must be read somewhere in that file. Exempt are
 ``__future__`` imports, names listed as strings in ``__all__``, and imports
 on a line marked ``# noqa: F401`` (names kept for perfbench's tracer to wrap).
@@ -16,6 +16,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FILES = sorted(
     glob.glob(os.path.join(ROOT, "src", "proben", "*.py"))
     + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    + glob.glob(os.path.join(ROOT, "tools", "*.py"))
 )
 
 

@@ -28,7 +28,6 @@ PUBLIC = "public helper"
 
 NEVER_ENTERED = {
     "box_fusion.fuse_boxes": WRAPPED,
-    "detections.softmax": PUBLIC,  # only tests call it; perfbench has its own
     "detections.ClassScores.stack": OBJECT_VIEW,
     "detections.ClassScores.__eq__": OBJECT_VIEW,
     "detections.check_box_variance": ERROR_PATH,

@@ -16,7 +16,6 @@ from proben import (
     fuse_avg_posteriors,
     fuse_max,
     fuse_proben,
-    softmax,
 )
 
 
@@ -148,7 +147,7 @@ class TestFuseProben:
     def test_uniform_prior_equals_summed_logits(self, members):
         k = members[0].num_foreground
         fused = fuse_proben(members, ClassPrior.uniform(k), len(members))
-        summed = softmax(np.sum([m.logits for m in members], axis=0))
+        summed = ClassScores.from_logits(np.sum([m.logits for m in members], axis=0)).posteriors
         assert fused.posteriors == pytest.approx(summed, abs=1e-9)
 
     @given(cluster_strategy)
